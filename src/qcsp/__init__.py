@@ -44,6 +44,7 @@ from .combine import (
     Arrangement,
     CombinedProblem,
     CombinedWitness,
+    ConvexityFlagFalse,
     ConvexityNotDeclared,
     combined_problem,
     propagate_step,

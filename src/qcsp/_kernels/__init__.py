@@ -1,52 +1,20 @@
 """Kernel backend selection.
 
-The compiled Cython extension is preferred when it imported cleanly; the
-pure-Python module is the reference implementation and the fallback.  Set
-QCSP_KERNELS=pure or QCSP_KERNELS=compiled to force a backend.
+The compiled Cython extension is used whenever it imports; otherwise the
+pure-Python module, which is the reference implementation, runs instead.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import pure
 
-_requested = os.environ.get("QCSP_KERNELS", "auto")
+try:
+    from . import _speed as _impl
 
-backend_name = "pure"
-_impl = pure
-
-if _requested != "pure":
-    try:
-        from . import _speed as _compiled
-
-        _impl = _compiled
-        backend_name = "compiled"
-    except ImportError:
-        if _requested == "compiled":
-            raise
+    backend_name = "compiled"
+except ImportError:
+    _impl = pure
+    backend_name = "pure"
 
 temporal_search = _impl.temporal_search
 find_induced_embedding = _impl.find_induced_embedding
-
-
-def available_backends() -> list[str]:
-    names = ["pure"]
-    try:
-        from . import _speed  # noqa: F401
-
-        names.append("compiled")
-    except ImportError:
-        pass
-    return names
-
-
-def get_backend(name: str):
-    """Return the kernel module for an explicit backend name."""
-    if name == "pure":
-        return pure
-    if name == "compiled":
-        from . import _speed
-
-        return _speed
-    raise ValueError(f"unknown kernel backend {name!r}")

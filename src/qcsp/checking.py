@@ -92,7 +92,8 @@ def check_part_witness(solver: TheorySolver, inst: Instance, witness) -> bool:
 
 def check_combined_witness(problem, result) -> bool:
     """Replay a combined witness: each part's atoms against its own witness,
-    plus arrangement consistency on the shared variables."""
+    and each part's values realize the arrangement exactly on the shared
+    variables (equal inside a block, distinct across blocks)."""
     if not result.sat:
         return False
     witness = result.witness
@@ -114,12 +115,6 @@ def check_combined_witness(problem, result) -> bool:
             for j in range(i + 1, len(shared_here)):
                 u, v = shared_here[i], shared_here[j]
                 same_block = block_of.get(u) == block_of.get(v)
-                if same_block and values[u] != values[v]:
-                    return False
-                if (
-                    witness.distinct_blocks
-                    and not same_block
-                    and values[u] == values[v]
-                ):
+                if same_block != (values[u] == values[v]):
                     return False
     return True

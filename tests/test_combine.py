@@ -1,6 +1,8 @@
 """Combination engine: propagation, both solve modes, and oracle agreement."""
 
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from qcsp.checking import check_combined_witness
 from qcsp.combine import (
     Arrangement,
     CombinedProblem,
+    ConvexityFlagFalse,
     ConvexityNotDeclared,
     combined_problem,
     propagate_step,
@@ -26,6 +29,8 @@ from qcsp.formulas import (
 )
 from qcsp.oracle import superpose_bruteforce
 from qcsp.theories import TheorySolver, builtin_mi
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 LEQ1 = RelationSymbol("t1", "leq", 2)
 LT1 = RelationSymbol("t1", "lt", 2)
@@ -109,6 +114,18 @@ def test_solve_convex_requires_flags():
     )
     with pytest.raises(ConvexityNotDeclared):
         solve_convex(problem)
+
+
+def test_false_convex_flag_is_detected():
+    problem = combined_problem(
+        parse_problem((FIXTURES / "convex_flag_false.qcsp").read_text())
+    )
+    assert all(problem.convex_flags.values())
+    with pytest.raises(ConvexityFlagFalse, match="t1"):
+        solve_convex(problem)
+    assert not solve_auto(problem).sat
+    assert not solve_complete(problem).sat
+    assert not superpose_bruteforce(problem).sat
 
 
 def test_solve_complete_mi_examples():
@@ -207,17 +224,7 @@ def test_modes_and_oracle_agree_on_random_pa_pairs():
         assert complete.sat == oracle.sat == convex.sat
         if complete.sat:
             assert check_combined_witness(problem, complete)
-
-
-def test_parallel_verdicts_match_sequential():
-    rng = random.Random(83)
-    for _ in range(60):
-        problem = _random_pa_pair(rng)
-        sequential = solve_complete(problem, parallel=False)
-        parallel = solve_complete(problem, parallel=True)
-        assert sequential.sat == parallel.sat
-        if parallel.sat:
-            assert check_combined_witness(problem, parallel)
+            assert check_combined_witness(problem, convex)
 
 
 def test_propagation_soundness_asserted_in_loop():
@@ -239,3 +246,31 @@ def test_propagation_soundness_asserted_in_loop():
                     for tid in problem.parts
                 )
             learned |= new
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_search_depth_does_not_grow_with_decided_pairs():
+    # 10 shared variables give 45 decided pairs; a search that recursed once
+    # per pair would pass a limit only 40 frames above the caller
+    names = [f"v{i}" for i in range(10)]
+    atoms = []
+    for a, b in zip(names, names[1:]):
+        atoms += [rel(LT1, a, b), rel(LEQ2, a, b)]
+    problem = _manual_problem(atoms, {"t1": PA1, "t2": PA2}, names)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        result = solve_complete(problem)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.sat
+    assert len(result.witness.arrangement) == 10
+    assert check_combined_witness(problem, result)

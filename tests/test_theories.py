@@ -5,7 +5,11 @@ import random
 
 import pytest
 
-from qcsp.checking import check_part_witness, check_value_witness
+from qcsp.checking import (
+    check_henson_witness,
+    check_part_witness,
+    check_value_witness,
+)
 from qcsp.formulas import RelationSymbol, eq, make_instance, neq, rel
 from qcsp.oracle import brute_decide_theory
 from qcsp.theories import (
@@ -126,6 +130,14 @@ def test_henson_decide_collapse_and_loops():
     merged = make_instance([eq("x", "y"), rel(E, "x", "y")])
     assert not henson_decide(merged, (C3,)).sat
     assert not henson_decide(make_instance([eq("x", "y"), neq("x", "y")]), (C3,)).sat
+
+
+def test_henson_witness_covers_collapsed_variables():
+    inst = make_instance([rel(E, "x", "y"), eq("y", "z"), rel(E, "z", "w")])
+    result = henson_decide(inst, (C3,))
+    assert result.sat
+    assert set(result.witness.assignment) == {"w", "x", "y", "z"}
+    assert check_henson_witness((C3,), inst, result.witness)
 
 
 def test_henson_transitive_tournament():
