@@ -31,8 +31,8 @@ from .theories import (
     TemporalRelation,
     TheorySolver,
     TournamentSet,
+    WitnessCheckFailed,
     builtin_mi,
-    entails_eq,
     eq_decide,
     henson_decide,
     pa_decide,

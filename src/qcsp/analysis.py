@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .formulas import Atom, Instance, PPFormula, REL, RelationSymbol, eq, make_instance, neq
 from .oracle import brute_decide_theory
-from .theories import SolveResult, TheorySolver
+from .theories import SolveResult, TheorySolver, WitnessCheckFailed
 
 EXHAUSTIVE_MAX_VARS = 5
 EXHAUSTIVE_MAX_ATOMS = 5
@@ -104,9 +104,10 @@ def _verified_witness(
                 forbidden=solver.forbidden,
             )
         )
-    assert replay[0].sat and replay[1].sat and not replay[2].sat, (
-        "solver and oracle disagree on a convexity witness"
-    )
+    if not (replay[0].sat and replay[1].sat and not replay[2].sat):
+        raise WitnessCheckFailed(
+            "solver and oracle disagree on a convexity witness"
+        )
     return ConvexityWitness(instance, pair1, pair2, tuple(verdicts))
 
 

@@ -17,6 +17,7 @@ from .theories import (
     canonical_ranks,
     prepare_tournaments,
     relation_for_name,
+    witness_values,
 )
 
 
@@ -105,11 +106,7 @@ def check_combined_witness(problem, result) -> bool:
         part_witness = witness.part_witnesses[tid]
         if not check_part_witness(problem.solvers[tid], part, part_witness):
             return False
-        values = (
-            part_witness.assignment
-            if isinstance(part_witness, HensonWitness)
-            else part_witness
-        )
+        values = witness_values(part_witness)
         shared_here = [v for v in problem.shared if v in values]
         for i in range(len(shared_here)):
             for j in range(i + 1, len(shared_here)):

@@ -12,7 +12,7 @@ detected rather than trusted; ``solve_auto`` then falls back to the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .formulas import (
     NEQ,
@@ -26,7 +26,13 @@ from .formulas import (
     neq,
     split_by_signature,
 )
-from .theories import SolveResult, TheorySolver, solvers_for
+from .theories import (
+    HensonWitness,
+    SolveResult,
+    TheorySolver,
+    solvers_for,
+    witness_values,
+)
 
 
 class ConvexityNotDeclared(ValueError):
@@ -106,56 +112,73 @@ def _neutral_atoms_consistent(instance: Instance) -> bool:
 
 def propagate_step(
     problem: CombinedProblem, learned: set[Atom]
-) -> set[Atom]:
+) -> set[Atom] | None:
     """One propagation round: all shared equalities newly entailed by some
-    theory under the learned set.  Empty result signals a fixpoint."""
+    theory under the learned set.  Empty result signals a fixpoint.  None
+    signals that a part rejects the learned equalities; each of them is
+    entailed, so the combined problem is unsatisfiable."""
     shared = sorted(problem.shared)
-    rep = _reps(learned, shared)
+    pending = _undecided_pairs(_reps(learned, shared), frozenset(), shared)
+    if not pending:
+        return set()
+    ok, _, contexts = _decide_parts(problem, learned, ())
+    if not ok:
+        return None
+    return {
+        eq(x, y) for x, y in pending if _entailed_by_a_part(problem, contexts, x, y)
+    }
 
-    collapsed_parts: dict[str, tuple[Instance, dict[str, str]]] = {}
-    for tid, part in problem.parts.items():
-        merged = make_instance(set(part.atoms) | set(learned))
-        collapsed_parts[tid] = collapse_equalities(merged)
 
-    found: set[Atom] = set()
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            x, y = shared[i], shared[j]
-            if rep[x] == rep[y]:
-                continue  # already implied by learned
-            for tid in sorted(problem.parts):
-                solver = problem.solvers[tid]
-                collapsed, var_map = collapsed_parts[tid]
-                cx = var_map.get(x, x)
-                cy = var_map.get(y, y)
-                if cx == cy:
-                    continue
-                if solver.entails_eq(collapsed, cx, cy):
-                    found.add(eq(x, y))
-                    break
-    return found
+# A part under a node's decisions: its collapsed instance, the collapse map,
+# and the values of the witness the part was decided with (empty when the
+# part rejected the node).
+_Context = tuple[Instance, dict[str, str], Mapping[str, object]]
 
 
 def _decide_parts(
     problem: CombinedProblem,
     merges: Iterable[Atom],
     distinct_pairs: Iterable[tuple[str, str]],
-) -> tuple[bool, dict[str, SolveResult], dict[str, tuple[Instance, dict[str, str]]]]:
+) -> tuple[bool, dict[str, SolveResult], dict[str, _Context]]:
     """Decide every part under the given equality/disequality decisions."""
     results: dict[str, SolveResult] = {}
-    contexts: dict[str, tuple[Instance, dict[str, str]]] = {}
+    contexts: dict[str, _Context] = {}
     merge_atoms = set(merges)
     neq_atoms = {neq(u, v) for u, v in distinct_pairs}
     for tid in sorted(problem.parts):
         part = problem.parts[tid]
         merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
         collapsed, var_map = collapse_equalities(merged)
-        contexts[tid] = (collapsed, var_map)
         result = problem.solvers[tid].decide(collapsed)
         results[tid] = result
+        contexts[tid] = (collapsed, var_map, witness_values(result.witness))
         if not result.sat:
             return False, results, contexts
     return True, results, contexts
+
+
+def _entailed_by_a_part(
+    problem: CombinedProblem, contexts: dict[str, _Context], u: str, v: str
+) -> bool:
+    """Whether some part entails u = v under its node's decisions.
+
+    Model-based combination: a part entails u = v only if the witness it
+    was decided with already gives u and v the same value, so only those
+    pairs are tested.  A variable the witness lacks occurs in no atom of the
+    part; every theory has infinite models (an isolated fresh vertex stays
+    in a henson age), so that variable can differ from all others and the
+    part cannot entail the equality.
+    """
+    for tid in sorted(problem.parts):
+        collapsed, var_map, values = contexts[tid]
+        cu, cv = var_map.get(u, u), var_map.get(v, v)
+        if cu == cv or cu not in values or cv not in values:
+            continue
+        if values[cu] == values[cv] and problem.solvers[tid].entails_eq(
+            collapsed, cu, cv
+        ):
+            return True
+    return False
 
 
 def _extend_witness(witness, var_map: dict[str, str]):
@@ -172,9 +195,7 @@ def _extend_witness(witness, var_map: dict[str, str]):
                 values[r] = fresh
                 fresh += 1
         return {v: values[r] for v, r in var_map.items()}
-    if witness is not None and hasattr(witness, "assignment"):
-        from .theories import HensonWitness
-
+    if isinstance(witness, HensonWitness):
         assignment = dict(witness.assignment)
         for r in reps:
             if r not in assignment:
@@ -187,7 +208,7 @@ def _extend_witness(witness, var_map: dict[str, str]):
 def _sat(
     blocks: tuple[tuple[str, ...], ...],
     results: dict[str, SolveResult],
-    contexts: dict[str, tuple[Instance, dict[str, str]]],
+    contexts: dict[str, _Context],
 ) -> SolveResult:
     """A SAT result whose part witnesses cover the original variables."""
     witness = CombinedWitness(
@@ -234,16 +255,13 @@ def _undecided_pairs(
 
 def _first_entailed(
     problem: CombinedProblem,
-    contexts: dict[str, tuple[Instance, dict[str, str]]],
+    contexts: dict[str, _Context],
     pairs: list[tuple[str, str]],
 ) -> tuple[str, str] | None:
     """The first pair some part already entails equal, if any."""
     for u, v in pairs:
-        for tid in sorted(problem.parts):
-            collapsed, var_map = contexts[tid]
-            cu, cv = var_map.get(u, u), var_map.get(v, v)
-            if cu != cv and problem.solvers[tid].entails_eq(collapsed, cu, cv):
-                return u, v
+        if _entailed_by_a_part(problem, contexts, u, v):
+            return u, v
     return None
 
 
@@ -297,6 +315,8 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     learned: set[Atom] = set()
     while True:
         new = propagate_step(problem, learned)
+        if new is None:
+            return SolveResult(False)
         if not new:
             break
         learned |= new

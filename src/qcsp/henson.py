@@ -27,6 +27,7 @@ from .theories import (
     Digraph,
     HensonWitness,
     SolveResult,
+    WitnessCheckFailed,
     henson_decide,
 )
 
@@ -63,7 +64,8 @@ def build_s_star(inst: Instance, e_symbol: RelationSymbol | None = None) -> Inst
         else:
             symbol = DEFAULT_E
     x0 = fresh_loop_variable(inst)
-    assert x0 not in inst.variables
+    if x0 in inst.variables:
+        raise WitnessCheckFailed(f"loop variable {x0!r} is not fresh")
     atoms = set(inst.atoms)
     atoms.add(Atom(REL, symbol, (x0, x0)))
     for v in inst.variables:

@@ -33,6 +33,11 @@ class ContractViolation(ValueError):
     """An instance contains atoms outside the solver's signature."""
 
 
+class WitnessCheckFailed(RuntimeError):
+    """A witness or a constructed instance failed an internal soundness
+    check.  The checks are explicit, so they also run under ``python -O``."""
+
+
 def canonical_ranks(values: Iterable[int]) -> tuple[int, ...]:
     """Rank-compress values to the canonical weak order (contiguous from 0)."""
     values = tuple(values)
@@ -98,6 +103,14 @@ class HensonWitness:
     assignment: dict[str, str]
     arcs: frozenset[tuple[str, str]]
     loop_vertex: str | None = None
+
+
+def witness_values(witness) -> Mapping[str, object]:
+    """The value a part witness gives each variable it covers: the integer
+    of a block or rank, or the vertex of a henson assignment."""
+    if isinstance(witness, HensonWitness):
+        return witness.assignment
+    return witness or {}
 
 
 @dataclass(frozen=True)
@@ -365,12 +378,14 @@ def temporal_decide(
 
     witness = {v: ranks[idx[v]] for v in variables}
     for atom, relation in resolved:
-        assert relation.admits(tuple(witness[v] for v in atom.args))
+        if not relation.admits(tuple(witness[v] for v in atom.args)):
+            raise WitnessCheckFailed(f"temporal witness violates {atom}")
     for atom in inst.atoms:
-        if atom.kind == EQ:
-            assert witness[atom.args[0]] == witness[atom.args[1]]
-        elif atom.kind == NEQ:
-            assert witness[atom.args[0]] != witness[atom.args[1]]
+        if atom.kind == REL:
+            continue
+        same = witness[atom.args[0]] == witness[atom.args[1]]
+        if same != (atom.kind == EQ):
+            raise WitnessCheckFailed(f"temporal witness violates {atom}")
     return SolveResult(True, witness)
 
 
@@ -458,10 +473,6 @@ class TheorySolver:
 
         extended = make_instance(set(inst.atoms) | {neq(x, y)})
         return not self.decide(extended).sat
-
-
-def entails_eq(solver: TheorySolver, inst: Instance, x: str, y: str) -> bool:
-    return solver.entails_eq(inst, x, y)
 
 
 def solvers_for(problem) -> dict[str, TheorySolver]:

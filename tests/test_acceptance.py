@@ -9,7 +9,7 @@ import hashlib
 import math
 import random
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 from qcsp.analysis import probe_convexity, check_cross_prevention
 from qcsp.checking import check_combined_witness
@@ -95,26 +95,31 @@ def _pa_eq_problem(atoms) -> CombinedProblem:
     )
 
 
-def _exhaustive_sweep():
+def _exhaustive_problems():
     """Every combined instance on <= 4 variables and <= 4 atoms over
-    point_algebra{lt, leq} + equality with all Eq/Neq pairs; caches the
-    verdicts for criteria 1 and 2."""
+    point_algebra{lt, leq} + equality with all Eq/Neq pairs."""
+    universe = _pa_eq_universe(["w", "x", "y", "z"])
+    for k in range(0, 5):
+        for combo in combinations(universe, k):
+            yield _pa_eq_problem(combo)
+
+
+def _exhaustive_sweep():
+    """Decide the exhaustive corpus in both modes and by the oracle; caches
+    the verdicts for criteria 1 and 2."""
     if _SWEEP_CACHE:
         return _SWEEP_CACHE
-    universe = _pa_eq_universe(["w", "x", "y", "z"])
     count = 0
     oracle_diffs = 0
     convex_diffs = 0
     start = time.time()
-    for k in range(0, 5):
-        for combo in combinations(universe, k):
-            problem = _pa_eq_problem(combo)
-            complete = solve_complete(problem).sat
-            if superpose_bruteforce(problem).sat != complete:
-                oracle_diffs += 1
-            if solve_convex(problem).sat != complete:
-                convex_diffs += 1
-            count += 1
+    for problem in _exhaustive_problems():
+        complete = solve_complete(problem).sat
+        if superpose_bruteforce(problem).sat != complete:
+            oracle_diffs += 1
+        if solve_convex(problem).sat != complete:
+            convex_diffs += 1
+        count += 1
     _SWEEP_CACHE.update(
         count=count,
         oracle_diffs=oracle_diffs,
@@ -158,12 +163,16 @@ def _random_convex_problem(rng) -> CombinedProblem:
     return CombinedProblem(inst, parts, shared, solvers, {"t1": True, "t2": True})
 
 
+def _random_convex_corpus():
+    rng = random.Random(20240817)
+    for _ in range(10000):
+        yield _random_convex_problem(rng)
+
+
 def test_criterion_2_convex_mode_equivalence():
     sweep = _exhaustive_sweep()
-    rng = random.Random(20240817)
     random_diffs = 0
-    for _ in range(10000):
-        problem = _random_convex_problem(rng)
+    for problem in _random_convex_corpus():
         if solve_convex(problem).sat != solve_complete(problem).sat:
             random_diffs += 1
     ok = sweep["convex_diffs"] == 0 and random_diffs == 0
@@ -412,17 +421,12 @@ def test_criterion_8_determinism_and_concurrency():
     )
 
 
-# sha256 over solve_complete's verdicts and witnesses on the criterion 8
-# corpus; any change to the search order or the witness construction moves it
-COMPLETE_WITNESS_DIGEST = (
-    "7c17278c55be470f210fdf3f4826b55b56c7b5aa06f0f9085a06132f4e3a5eab"
-)
-
-
-def test_complete_mode_witnesses_pinned():
+def _witness_digest(solve, corpus) -> str:
+    """sha256 over one mode's verdicts and witnesses on a corpus; any change
+    to the search order or the witness construction moves it."""
     records = []
-    for problem in _determinism_corpus():
-        result = solve_complete(problem)
+    for problem in corpus:
+        result = solve(problem)
         if not result.sat:
             records.append(None)
             continue
@@ -434,8 +438,28 @@ def test_complete_mode_witnesses_pinned():
                 for tid, part in witness.part_witnesses.items()
             ),
         ))
-    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+# solve_complete on the criterion 8 corpus
+COMPLETE_WITNESS_DIGEST = (
+    "7c17278c55be470f210fdf3f4826b55b56c7b5aa06f0f9085a06132f4e3a5eab"
+)
+# solve_convex on the criterion 2 corpus: the exhaustive sweep, then the
+# random instances
+CONVEX_WITNESS_DIGEST = (
+    "e3cc1673d808df69aa5b03aae19e67f670fb1c774221b8a6746fd64dc8aa1ed1"
+)
+
+
+def test_complete_mode_witnesses_pinned():
+    digest = _witness_digest(solve_complete, _determinism_corpus())
     assert digest == COMPLETE_WITNESS_DIGEST
+
+
+def test_convex_mode_witnesses_pinned():
+    corpus = chain(_exhaustive_problems(), _random_convex_corpus())
+    assert _witness_digest(solve_convex, corpus) == CONVEX_WITNESS_DIGEST
 
 
 def test_criterion_9_counting_self_checks():

@@ -3,12 +3,16 @@
 import pathlib
 import random
 import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsp.checking import check_combined_witness
 from qcsp.combine import (
     Arrangement,
+    _decide_parts,
+    _first_entailed,
     CombinedProblem,
     ConvexityFlagFalse,
     ConvexityNotDeclared,
@@ -20,6 +24,8 @@ from qcsp.combine import (
 )
 from qcsp.formulas import (
     RelationSymbol,
+    UnionFind,
+    collapse_equalities,
     eq,
     make_instance,
     neq,
@@ -28,7 +34,7 @@ from qcsp.formulas import (
     split_by_signature,
 )
 from qcsp.oracle import superpose_bruteforce
-from qcsp.theories import TheorySolver, builtin_mi
+from qcsp.theories import Digraph, TheorySolver, builtin_mi
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -257,14 +263,20 @@ def _stack_depth() -> int:
     return depth
 
 
-def test_search_depth_does_not_grow_with_decided_pairs():
-    # 10 shared variables give 45 decided pairs; a search that recursed once
-    # per pair would pass a limit only 40 frames above the caller
-    names = [f"v{i}" for i in range(10)]
+def _chain_problem(n: int) -> CombinedProblem:
+    """An lt chain in t1 and a leq chain in t2 over n shared variables: SAT
+    with every variable in its own block."""
+    names = [f"v{i}" for i in range(n)]
     atoms = []
     for a, b in zip(names, names[1:]):
         atoms += [rel(LT1, a, b), rel(LEQ2, a, b)]
-    problem = _manual_problem(atoms, {"t1": PA1, "t2": PA2}, names)
+    return _manual_problem(atoms, {"t1": PA1, "t2": PA2}, names)
+
+
+def test_search_depth_does_not_grow_with_decided_pairs():
+    # 10 shared variables give 45 decided pairs; a search that recursed once
+    # per pair would pass a limit only 40 frames above the caller
+    problem = _chain_problem(10)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 40)
     try:
@@ -274,3 +286,131 @@ def test_search_depth_does_not_grow_with_decided_pairs():
     assert result.sat
     assert len(result.witness.arrangement) == 10
     assert check_combined_witness(problem, result)
+
+
+def test_search_tests_entailment_only_where_witnesses_agree(monkeypatch):
+    # every part's witness keeps the chain's variables apart, so no shared
+    # pair can be entailed equal; asking every part about every pending
+    # pair at every node costs 2070 entailment tests here
+    calls = []
+    original = TheorySolver.entails_eq
+
+    def counting(self, inst, x, y):
+        calls.append((self.theory_id, x, y))
+        return original(self, inst, x, y)
+
+    monkeypatch.setattr(TheorySolver, "entails_eq", counting)
+    result = solve_complete(_chain_problem(10))
+    assert result.sat
+    assert len(calls) <= 20
+
+
+# Random combined problems over all four theory kinds, for comparing the
+# model-based entailment filter with asking every part about every pair.
+E1 = RelationSymbol("t1", "E", 2)
+C3 = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
+HENSON1 = TheorySolver("t1", "henson", False, forbidden=(C3,))
+# (solvers, relation symbols, symbols whose cycles force equalities)
+COMBOS = {
+    "point_algebra+equality": ({"t1": PA1, "t2": EQ2}, (LT1, LEQ1), (LEQ1,)),
+    "temporal+point_algebra": (
+        {"t1": TEMP1, "t2": PA2}, (MI, LEQ1, LT2, LEQ2), (LEQ1, LEQ2)
+    ),
+    "henson+equality": ({"t1": HENSON1, "t2": EQ2}, (E1,), ()),
+}
+
+
+@st.composite
+def _combined_problems(draw):
+    solvers, symbols, cyclic = COMBOS[draw(st.sampled_from(sorted(COMBOS)))]
+    names = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    atoms = []
+    if cyclic and draw(st.booleans()):
+        # a leq cycle makes a part entail equalities among its members
+        cycle = draw(
+            st.lists(st.sampled_from(names), min_size=2, max_size=4, unique=True)
+        )
+        symbol = draw(st.sampled_from(cyclic))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            atoms.append(rel(symbol, a, b))
+    kinds = [s for s in symbols if s.arity <= len(names)] + ["eq", "neq"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=7)):
+        arity = 2 if isinstance(kind, str) else kind.arity
+        args = draw(st.permutations(names))[:arity]
+        if kind == "eq":
+            atoms.append(eq(*args))
+        elif kind == "neq":
+            atoms.append(neq(*args))
+        else:
+            atoms.append(rel(kind, *args))
+    # every variable counts as shared, so pairs missing from a part occur
+    return _manual_problem(atoms, solvers, names), names
+
+
+FILTER_SETTINGS = settings(
+    derandomize=True, max_examples=300, deadline=None, database=None
+)
+
+
+def _pair_subsets(names, max_size=4):
+    return st.lists(
+        st.sampled_from(list(combinations(names, 2))), max_size=max_size
+    )
+
+
+def _reference_entailed(problem, atoms, x, y) -> bool:
+    """Whether some part, with the given atoms added, entails x = y: the
+    part is asked directly, without consulting any witness."""
+    for tid in sorted(problem.parts):
+        merged = make_instance(set(problem.parts[tid].atoms) | set(atoms))
+        collapsed, var_map = collapse_equalities(merged)
+        cx, cy = var_map.get(x, x), var_map.get(y, y)
+        if cx != cy and problem.solvers[tid].entails_eq(collapsed, cx, cy):
+            return True
+    return False
+
+
+def _apart_under(learned, names):
+    classes = UnionFind(names)
+    for atom in learned:
+        classes.union(*atom.args)
+    return [(x, y) for x, y in combinations(names, 2)
+            if classes.find(x) != classes.find(y)]
+
+
+@FILTER_SETTINGS
+@given(st.data())
+def test_propagate_step_matches_asking_every_part(data):
+    problem, names = data.draw(_combined_problems())
+    learned = {eq(x, y) for x, y in data.draw(_pair_subsets(names))}
+    found = propagate_step(problem, learned)
+    if found is None:
+        # a part rejects the learned equalities: the combination is UNSAT
+        assert any(
+            not problem.solvers[tid].decide(
+                collapse_equalities(make_instance(set(part.atoms) | learned))[0]
+            ).sat
+            for tid, part in problem.parts.items()
+        )
+    else:
+        assert found == {
+            eq(x, y) for x, y in _apart_under(learned, names)
+            if _reference_entailed(problem, learned, x, y)
+        }
+
+
+@FILTER_SETTINGS
+@given(st.data())
+def test_first_entailed_matches_asking_every_part(data):
+    problem, names = data.draw(_combined_problems())
+    merges = {eq(x, y) for x, y in data.draw(_pair_subsets(names, 2))}
+    distinct = data.draw(_pair_subsets(names, 2))
+    ok, _, contexts = _decide_parts(problem, merges, distinct)
+    if not ok:
+        return
+    node = merges | {neq(x, y) for x, y in distinct}
+    pending = _apart_under(merges, names)
+    expected = next(
+        (p for p in pending if _reference_entailed(problem, node, *p)), None
+    )
+    assert _first_entailed(problem, contexts, pending) == expected

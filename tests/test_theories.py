@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from qcsp import _kernels
+
 from qcsp.checking import (
     check_henson_witness,
     check_part_witness,
@@ -17,9 +19,9 @@ from qcsp.theories import (
     Digraph,
     TheorySolver,
     TournamentSet,
+    WitnessCheckFailed,
     builtin_mi,
     canonical_ranks,
-    entails_eq,
     eq_decide,
     henson_decide,
     pa_decide,
@@ -149,14 +151,23 @@ def test_henson_transitive_tournament():
 def test_entails_eq_examples():
     pa = TheorySolver("t1", "point_algebra", True)
     inst = make_instance([rel(LEQ, "x", "y"), rel(LEQ, "y", "x")])
-    assert entails_eq(pa, inst, "x", "y")
+    assert pa.entails_eq(inst, "x", "y")
     eqs = TheorySolver("t1", "equality", True)
-    assert not entails_eq(eqs, make_instance([neq("x", "y")]), "x", "z")
+    assert not eqs.entails_eq(make_instance([neq("x", "y")]), "x", "z")
     temporal = TheorySolver("t1", "temporal", False, relations=MI_RELS)
     inst3 = make_instance(
         [rel(MI, "x", "y", "z"), rel(LEQ, "x", "y"), rel(LEQ, "x", "z")]
     )
-    assert entails_eq(temporal, inst3, "x", "y")
+    assert temporal.entails_eq(inst3, "x", "y")
+
+
+def test_wrong_kernel_ranks_fail_the_witness_check(monkeypatch):
+    # the kernel's answer is replayed against every atom, also under -O
+    inst = make_instance([rel(LT, "x", "y")])
+    assert temporal_decide(inst, {}).witness == {"x": 0, "y": 1}
+    monkeypatch.setattr(_kernels, "temporal_search", lambda *args: (1, 0))
+    with pytest.raises(WitnessCheckFailed, match="lt"):
+        temporal_decide(inst, {})
 
 
 def test_relation_from_predicate():
