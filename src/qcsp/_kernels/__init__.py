@@ -2,6 +2,9 @@
 
 The compiled Cython extension is used whenever it imports; otherwise the
 pure-Python module, which is the reference implementation, runs instead.
+The compiled temporal search propagates more weakly than the pure one, but
+both return the least solution in the same fixed order, so their results
+are identical.
 """
 
 from __future__ import annotations

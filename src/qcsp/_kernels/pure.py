@@ -1,14 +1,19 @@
 """Pure-Python kernels for the hot solver loops.
 
-The compiled twin in ``_speed.pyx`` implements the same algorithms with the
-same branching order; both must return identical results on identical inputs.
 Pair statuses are bitmasks over {1: <, 2: =, 4: >} for ordered variable
 pairs, held in a flat n*n byte table with table[j*n+i] the flip of
-table[i*n+j].
+table[i*n+j].  The temporal search enforces path consistency over the full
+point-algebra composition (Vilain & Kautz 1986; van Beek 1992) plus support
+for every atom, driven by a worklist of changed pairs, and then branches.
+
+The compiled twin in ``_speed.pyx`` propagates more weakly (it composes only
+definite statuses and re-sweeps every triple), but both return the solution
+that is least in the fixed pair order, so their results are identical.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 LT = 1
@@ -16,88 +21,137 @@ EQB = 2
 GT = 4
 ALL = LT | EQB | GT
 
-_FLIP = (0, 4, 2, 6, 1, 5, 3, 7)
+_FLIP = bytes((0, 4, 2, 6, 1, 5, 3, 7))
 
-# composition of definite statuses: (xi ? xj) o (xj ? xk) -> allowed (xi ? xk)
-_COMPOSE = {
+# composition of single statuses: (xi ? xj) o (xj ? xk) -> allowed (xi ? xk)
+_BASE = {
     (LT, LT): LT,
     (LT, EQB): LT,
+    (LT, GT): ALL,
     (EQB, LT): LT,
     (EQB, EQB): EQB,
-    (GT, GT): GT,
-    (GT, EQB): GT,
     (EQB, GT): GT,
-    (LT, GT): ALL,
     (GT, LT): ALL,
+    (GT, EQB): GT,
+    (GT, GT): GT,
 }
 
-_DEFINITE = (LT, EQB, GT)
+
+def _compose(a, b):
+    out = 0
+    for x in (LT, EQB, GT):
+        for y in (LT, EQB, GT):
+            if a & x and b & y:
+                out |= _BASE[x, y]
+    return out
 
 
-def _propagate(n, state, atoms):
-    """Tighten pair masks to a fixpoint; False when some pair empties."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            base_i = i * n
-            for j in range(n):
-                if i == j:
+# _COMPOSE[a * 8 + b]: the union of the base compositions over the bits of
+# a and of b
+_COMPOSE = bytes(_compose(a, b) for a in range(8) for b in range(8))
+
+# masks with more than one status left
+_OPEN = bytes(bin(m).count("1") > 1 for m in range(8))
+
+
+@lru_cache(maxsize=1024)
+def _kernel_atom(n, pairs, patbits):
+    """An atom as the cells of its pairs in the n*n table, their flips, their
+    i < j queue keys, and its patterns packed into integers with slot t's
+    status bit in bits 3t..3t+2; a pattern fits the slots' masks packed the
+    same way exactly when masks & pattern == pattern."""
+    return (
+        tuple(i * n + j for i, j in pairs),
+        tuple(j * n + i for i, j in pairs),
+        tuple(i * n + j if i < j else j * n + i for i, j in pairs),
+        tuple(
+            sum(bit << 3 * t for t, bit in enumerate(bits)) for bits in patbits
+        ),
+    )
+
+
+def _propagate(n, state, atoms, watch, pairs, pending):
+    """Tighten pair masks to a fixpoint; False when some pair empties.
+
+    pairs holds the changed pairs (as i*n+j with i < j) and pending the
+    indices of the atoms to revise.  A changed pair (i, j) revises (i, k)
+    from (i, j) o (j, k) and (k, j) from (k, i) o (i, j) for every other k;
+    a pair that tightens is queued together with the atoms watching it.
+    """
+    comp = _COMPOSE
+    flip = _FLIP
+    while pairs or pending:
+        while pairs:
+            p = pairs.pop()
+            i, j = divmod(p, n)
+            rij = state[p]
+            if rij == ALL:
+                continue
+            row = rij << 3
+            bi = i * n
+            bj = j * n
+            for k in range(n):
+                if k == i or k == j:
                     continue
-                rij = state[base_i + j]
-                if rij == 0:
-                    return False
-                if rij not in _DEFINITE:
-                    continue
-                base_j = j * n
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    rjk = state[base_j + k]
-                    if rjk not in _DEFINITE:
-                        continue
-                    implied = _COMPOSE[rij, rjk]
-                    if implied == ALL:
-                        continue
-                    old = state[base_i + k]
-                    new = old & implied
+                bk = k * n
+                rjk = state[bj + k]
+                if rjk != ALL:
+                    old = state[bi + k]
+                    new = old & comp[row | rjk]
                     if new != old:
-                        if new == 0:
+                        if not new:
                             return False
-                        state[base_i + k] = new
-                        state[k * n + i] = _FLIP[new]
-                        changed = True
-        for pairs, patbits in atoms:
-            union = [0] * len(pairs)
-            alive = False
-            for bits in patbits:
-                ok = True
-                for t, (pi, pj) in enumerate(pairs):
-                    if not (state[pi * n + pj] & bits[t]):
-                        ok = False
-                        break
-                if ok:
-                    alive = True
-                    for t in range(len(pairs)):
-                        union[t] |= bits[t]
-            if not alive:
+                        state[bi + k] = new
+                        state[bk + i] = flip[new]
+                        key = bi + k if i < k else bk + i
+                        pairs.add(key)
+                        pending.update(watch[key])
+                rki = state[bk + i]
+                if rki != ALL:
+                    old = state[bk + j]
+                    new = old & comp[rki << 3 | rij]
+                    if new != old:
+                        if not new:
+                            return False
+                        state[bk + j] = new
+                        state[bj + k] = flip[new]
+                        key = bk + j if k < j else bj + k
+                        pairs.add(key)
+                        pending.update(watch[key])
+        if pending:
+            cells, flips, keys, packed = atoms[pending.pop()]
+            masks = 0
+            shift = 0
+            for c in cells:
+                masks |= state[c] << shift
+                shift += 3
+            support = 0
+            for pattern in packed:
+                if masks & pattern == pattern:
+                    support |= pattern
+            if not support:
                 return False
-            for t, (pi, pj) in enumerate(pairs):
-                old = state[pi * n + pj]
-                new = old & union[t]
+            if masks & support == masks:
+                continue
+            shift = 0
+            for t, c in enumerate(cells):
+                old = state[c]
+                new = old & (support >> shift)
+                shift += 3
                 if new != old:
-                    if new == 0:
+                    if not new:
                         return False
-                    state[pi * n + pj] = new
-                    state[pj * n + pi] = _FLIP[new]
-                    changed = True
+                    state[c] = new
+                    state[flips[t]] = flip[new]
+                    pairs.add(keys[t])
+                    pending.update(watch[keys[t]])
     return True
 
 
 def _first_open_pair(n, state):
     for i in range(n):
         for j in range(i + 1, n):
-            if state[i * n + j] not in _DEFINITE:
+            if _OPEN[state[i * n + j]]:
                 return i, j
     return None
 
@@ -121,38 +175,61 @@ def temporal_search(n, atoms, constraints):
     """Deterministic branch-and-prune over pairwise statuses.
 
     atoms: sequence of (pairs, patbits) where pairs is a tuple of (i, j)
-    variable-index pairs and patbits the per-pattern status bits aligned with
-    pairs.  constraints: (i, j, mask) initial restrictions.  Returns the
+    variable-index pairs and patbits a tuple giving each allowed pattern as a
+    tuple of one status bit per pair, aligned with pairs.  constraints:
+    (i, j, mask) initial restrictions.  Returns the
     canonical rank tuple of the first solution in <, =, > branch order, or
-    None.
+    None.  Branching fixes the first open pair in the order (0, 1), (0, 2),
+    ..., and propagation removes only statuses that no solution below the
+    node has, so that solution is the least in this order.
     """
     state = bytearray([ALL]) * (n * n)
-    for i in range(n):
-        state[i * n + i] = EQB
-    for i, j, mask in constraints:
+    state[:: n + 1] = bytes([EQB]) * n
+    restrictions = list(constraints)
+    prepared = []
+    watch = [()] * (n * n)
+    for pairs, patbits in atoms:
+        if len(pairs) == 1:
+            # a one-pair atom is a plain restriction: apply it once
+            mask = 0
+            for bits in patbits:
+                mask |= bits[0]
+            restrictions.append((*pairs[0], mask))
+        elif pairs:
+            atom = _kernel_atom(n, pairs, patbits)
+            for key in set(atom[2]):
+                watch[key] += (len(prepared),)
+            prepared.append(atom)
+        elif not patbits:
+            return None
+    constrained = set()
+    for i, j, mask in restrictions:
         new = state[i * n + j] & mask
         if new == 0:
             return None
         state[i * n + j] = new
         state[j * n + i] = _FLIP[new]
+        constrained.add(i * n + j if i < j else j * n + i)
 
-    stack = [state]
+    stack = [(state, constrained, set(range(len(prepared))))]
     while stack:
-        current = stack.pop()
-        if not _propagate(n, current, atoms):
+        current, pairs, pending = stack.pop()
+        if not _propagate(n, current, prepared, watch, pairs, pending):
             continue
         open_pair = _first_open_pair(n, current)
         if open_pair is None:
             return _ranks_of(n, current)
         i, j = open_pair
-        mask = current[i * n + j]
-        # push in reverse so < is explored first, then =, then >
+        key = i * n + j
+        mask = current[key]
+        # push in reverse so < is explored first, then =, then >; a child
+        # starts from this fixpoint, so only the fixed pair is queued
         for bit in (GT, EQB, LT):
             if mask & bit:
                 child = bytearray(current)
-                child[i * n + j] = bit
+                child[key] = bit
                 child[j * n + i] = _FLIP[bit]
-                stack.append(child)
+                stack.append((child, {key}, set(watch[key])))
     return None
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 a verdict was produced, 2 parse error, 3 mode precondition
 violated (convex mode on a theory not flagged convex, or whose convex flag
-proved false), 4 resource bound exceeded.
+proved false), 4 resource bound exceeded, 5 internal error (a witness or a
+constructed instance failed an internal check; no verdict is printed).
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from .formulas import (
 )
 from .henson import build_s_star, component_label_solve
 from .oracle import BoundExceeded, superpose_bruteforce
-from .theories import HensonWitness, SolveResult
+from .theories import HensonWitness, SolveResult, WitnessCheckFailed
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_MODE = 3
 EXIT_BOUND = 4
+EXIT_INTERNAL = 5
 
 
 def _load(path: str) -> Problem:
@@ -254,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except WitnessCheckFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     if argv is None:
         sys.exit(code)
     return code

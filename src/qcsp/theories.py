@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from . import _kernels
@@ -300,38 +301,40 @@ def _tarjan_components(nodes: list[str], succ: Mapping[str, set[str]]) -> dict[s
     return comp
 
 
+@lru_cache(maxsize=256)
+def _atom_patterns(
+    relation: TemporalRelation, shape: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The argument-slot pairs an atom of this relation constrains and the
+    status bits each allowed pattern induces on them.  ``shape[u]`` is the
+    first slot holding the same argument as slot u; slots holding the same
+    argument form no pair, and patterns that tell them apart are dropped."""
+    k = len(shape)
+    slots = tuple(
+        (u, w) for u in range(k) for w in range(u + 1, k) if shape[u] != shape[w]
+    )
+    patterns = []
+    for p in sorted(relation.allowed):
+        if any(p[u] != p[shape[u]] for u in range(k)):
+            continue
+        patterns.append(
+            tuple(
+                LT_BIT if p[u] < p[w] else (EQ_BIT if p[u] == p[w] else GT_BIT)
+                for u, w in slots
+            )
+        )
+    return slots, tuple(patterns)
+
+
 def _prepare_temporal_atom(
     atom: Atom, idx: dict[str, int], relation: TemporalRelation
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
     """Reduce an atom to kernel form: variable-index pairs plus the status
-    bits each allowed pattern induces on them.  Patterns incompatible with
-    repeated arguments are dropped here."""
-    args = atom.args
-    k = len(args)
-    positions = [idx[v] for v in args]
-    pair_slots: list[tuple[int, int, int, int]] = []  # (u, w, i, j)
-    for u in range(k):
-        for w in range(u + 1, k):
-            if positions[u] != positions[w]:
-                pair_slots.append((u, w, positions[u], positions[w]))
-    patterns = []
-    for p in sorted(relation.allowed):
-        ok = True
-        for u in range(k):
-            for w in range(u + 1, k):
-                if positions[u] == positions[w] and p[u] != p[w]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            bits = tuple(
-                LT_BIT if p[u] < p[w] else (EQ_BIT if p[u] == p[w] else GT_BIT)
-                for (u, w, _, _) in pair_slots
-            )
-            patterns.append(bits)
-    pairs = tuple((i, j) for (_, _, i, j) in pair_slots)
-    return pairs, tuple(patterns)
+    bits each allowed pattern induces on them."""
+    positions = [idx[v] for v in atom.args]
+    shape = tuple(map(positions.index, positions))
+    slots, patterns = _atom_patterns(relation, shape)
+    return tuple((positions[u], positions[w]) for u, w in slots), patterns
 
 
 def temporal_decide(
@@ -343,9 +346,10 @@ def temporal_decide(
     idx = {v: i for i, v in enumerate(variables)}
     n = len(variables)
 
+    ordered = inst.sorted_atoms()
     atoms = []
     resolved: list[tuple[Atom, TemporalRelation]] = []
-    for atom in inst.sorted_atoms():
+    for atom in ordered:
         if atom.kind != REL:
             continue
         relation = relations.get(atom.symbol.name) or relation_for_name(
@@ -361,7 +365,7 @@ def temporal_decide(
         atoms.append(_prepare_temporal_atom(atom, idx, relation))
 
     constraints = []
-    for atom in inst.sorted_atoms():
+    for atom in ordered:
         if atom.kind == EQ:
             i, j = idx[atom.args[0]], idx[atom.args[1]]
             if i != j:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from qcsp.cli import main
+from qcsp import _kernels
+from qcsp.cli import EXIT_INTERNAL, main
 from qcsp.formulas import REL, parse_problem
 from qcsp.theories import canonical_ranks, relation_for_name
 
@@ -122,6 +123,18 @@ def test_false_convex_flag_falls_back_or_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "mode error" in err and "t1" in err
+
+
+def test_failed_internal_check_exits_internal(monkeypatch, capsys):
+    # wrong kernel ranks trip the temporal witness check; the CLI reports an
+    # internal error with its own exit code instead of a traceback
+    monkeypatch.setattr(
+        _kernels, "temporal_search", lambda n, atoms, constraints: (0,) * n
+    )
+    code, out, err = run_cli("solve", str(FIXTURES / "mi_sat.qcsp"), capsys=capsys)
+    assert code == EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("internal error: temporal witness violates")
 
 
 def test_oracle_command(capsys):

@@ -1,10 +1,13 @@
-"""Pure and compiled kernels must agree exactly, witnesses included."""
+"""Kernel tests: the pure temporal search against a brute-force least
+solution and its propagation fixpoint, and pure and compiled kernels, which
+must agree exactly, witnesses included."""
 
 import random
 
 import pytest
 
 from qcsp._kernels import pure
+from qcsp.oracle import enumerate_weak_orders
 
 
 def _random_temporal_case(rng):
@@ -68,6 +71,132 @@ def test_induced_embedding_backends_identical():
         )
         assert pure.find_induced_embedding(n, adj, tournaments) == \
             speed.find_induced_embedding(n, adj, tournaments)
+
+
+def _status(ranks, i, j):
+    if ranks[i] < ranks[j]:
+        return pure.LT
+    return pure.EQB if ranks[i] == ranks[j] else pure.GT
+
+
+def _least_solution(n, atoms, constraints):
+    """Brute force: among the weak orders meeting every constraint and atom,
+    the one whose statuses on (0, 1), (0, 2), ..., (n-2, n-1) are least,
+    with < before = before >; None when there is none."""
+    best = None
+    for ranks in enumerate_weak_orders(n):
+        if any(not _status(ranks, i, j) & mask for i, j, mask in constraints):
+            continue
+        if not all(
+            any(
+                all(_status(ranks, i, j) & b for (i, j), b in zip(pairs, bits))
+                for bits in patbits
+            )
+            for pairs, patbits in atoms
+        ):
+            continue
+        key = tuple(
+            _status(ranks, i, j) for i in range(n) for j in range(i + 1, n)
+        )
+        if best is None or key < best[0]:
+            best = (key, ranks)
+    return None if best is None else best[1]
+
+
+def test_temporal_search_returns_the_least_solution():
+    rng = random.Random(139)
+    checked = 0
+    while checked < 1000:
+        n, atoms, constraints = _random_temporal_case(rng)
+        if n > 5:
+            continue
+        checked += 1
+        assert pure.temporal_search(n, atoms, constraints) == _least_solution(
+            n, atoms, constraints
+        ), (n, atoms, constraints)
+
+
+def _count_propagations(monkeypatch):
+    """Record (result, state after) of every _propagate call."""
+    calls = []
+    original = pure._propagate
+
+    def counted(n, state, *rest):
+        ok = original(n, state, *rest)
+        calls.append((ok, bytes(state)))
+        return ok
+
+    monkeypatch.setattr(pure, "_propagate", counted)
+    return calls
+
+
+def _composition(a, b):
+    """The statuses (x ? z) allows given (x ? y) in a and (y ? z) in b."""
+    out = 0
+    for ranks in enumerate_weak_orders(3):
+        if _status(ranks, 0, 1) & a and _status(ranks, 1, 2) & b:
+            out |= _status(ranks, 0, 2)
+    return out
+
+
+def _is_fixpoint(n, state, atoms, compose):
+    """Every pair is path consistent and every atom supports its masks."""
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                implied = compose[state[i * n + j], state[j * n + k]]
+                if state[i * n + k] & ~implied:
+                    return False
+    for pairs, patbits in atoms:
+        masks = [state[i * n + j] for i, j in pairs]
+        support = [0] * len(pairs)
+        for bits in patbits:
+            if all(m & b for m, b in zip(masks, bits)):
+                support = [s | b for s, b in zip(support, bits)]
+        if any(m & ~s for m, s in zip(masks, support)):
+            return False
+    return True
+
+
+def test_every_node_reaches_the_propagation_fixpoint(monkeypatch):
+    # the worklist revises every pair and atom a change can affect, so each
+    # node, the root and every branch child alike, ends at the fixpoint
+    calls = _count_propagations(monkeypatch)
+    compose = {(a, b): _composition(a, b) for a in range(8) for b in range(8)}
+    rng = random.Random(149)
+    for _ in range(3000):
+        n, atoms, constraints = _random_temporal_case(rng)
+        calls.clear()
+        pure.temporal_search(n, atoms, constraints)
+        for ok, state in calls:
+            assert not ok or _is_fixpoint(n, state, atoms, compose), (
+                n, atoms, constraints
+            )
+
+
+LEQ = ((pure.LT,), (pure.EQB,))  # one-pair patterns: x < y or x = y
+
+
+def test_leq_cycle_with_a_neq_fails_at_the_root(monkeypatch):
+    # x0 <= x1 <= ... <= x27 <= x0 forces all equal, so x0 != x14 is refuted
+    # by propagation alone, without a branch
+    calls = _count_propagations(monkeypatch)
+    n = 28
+    atoms = tuple((((k, (k + 1) % n),), LEQ) for k in range(n))
+    neq = (0, n // 2, pure.LT | pure.GT)
+    assert pure.temporal_search(n, atoms, (neq,)) is None
+    assert [ok for ok, _ in calls] == [False]
+
+
+def test_leq_chain_closed_into_a_cycle_is_equal_at_the_root(monkeypatch):
+    # x <= y <= z composes to x <= z; with z <= x every pair is =
+    calls = _count_propagations(monkeypatch)
+    chain = ((0, 1, pure.LT | pure.EQB), (1, 2, pure.LT | pure.EQB))
+    atoms = ((((2, 0),), LEQ),)
+    assert pure.temporal_search(3, atoms, chain) == (0, 0, 0)
+    assert len(calls) == 1
+    ok, state = calls[0]
+    assert ok and set(state) == {pure.EQB}
 
 
 def test_pure_temporal_search_basics():
