@@ -3,7 +3,8 @@
 Exit codes: 0 a verdict was produced, 2 parse error, 3 mode precondition
 violated (convex mode on a theory not flagged convex, or whose convex flag
 proved false), 4 resource bound exceeded, 5 internal error (a witness or a
-constructed instance failed an internal check; no verdict is printed).
+constructed instance failed an internal check, including the replay of every
+SAT witness ``solve`` makes before it prints; no verdict is printed).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import sys
 
 from .analysis import probe_convexity, check_cross_prevention
+from .checking import check_combined_witness
 from .combine import (
     CombinedProblem,
     ConvexityNotDeclared,
@@ -90,6 +92,8 @@ def cmd_solve(args) -> int:
     except BoundExceeded as exc:
         print(f"bound error: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    if result.sat and not check_combined_witness(combined, result):
+        raise WitnessCheckFailed("the SAT witness does not replay against the input")
     print(result.verdict)
     if args.witness and result.sat:
         _print_witness(combined, result)

@@ -130,9 +130,12 @@ def propagate_step(
 
 
 # A part under a node's decisions: its collapsed instance, the collapse map,
-# and the values of the witness the part was decided with (empty when the
-# part rejected the node).
-_Context = tuple[Instance, dict[str, str], Mapping[str, object]]
+# the values of the witness the part was decided with, and the models of the
+# part known at this node: that witness first, then every counter-model an
+# entailment test returned (values and models empty when the part rejected
+# the node).  Models are never carried to another node or round: a later
+# node or round adds atoms, which a kept model need not satisfy.
+_Context = tuple[Instance, dict[str, str], Mapping[str, object], list[object]]
 
 
 def _decide_parts(
@@ -151,7 +154,8 @@ def _decide_parts(
         collapsed, var_map = collapse_equalities(merged)
         result = problem.solvers[tid].decide(collapsed)
         results[tid] = result
-        contexts[tid] = (collapsed, var_map, witness_values(result.witness))
+        models = [result.witness] if result.sat else []
+        contexts[tid] = (collapsed, var_map, witness_values(result.witness), models)
         if not result.sat:
             return False, results, contexts
     return True, results, contexts
@@ -162,21 +166,26 @@ def _entailed_by_a_part(
 ) -> bool:
     """Whether some part entails u = v under its node's decisions.
 
-    Model-based combination: a part entails u = v only if the witness it
-    was decided with already gives u and v the same value, so only those
-    pairs are tested.  A variable the witness lacks occurs in no atom of the
-    part; every theory has infinite models (an isolated fresh vertex stays
-    in a henson age), so that variable can differ from all others and the
-    part cannot entail the equality.
+    Model-based combination: a part entails u = v only if every model it
+    has at this node gives u and v the same value, so only those pairs are
+    tested, and a test that answers no adds its counter-model to the part's
+    models.  A variable the witness lacks occurs in no atom of the part;
+    every theory has infinite models (an isolated fresh vertex stays in a
+    henson age), so that variable can differ from all others and the part
+    cannot entail the equality.
     """
     for tid in sorted(problem.parts):
-        collapsed, var_map, values = contexts[tid]
+        collapsed, var_map, values, models = contexts[tid]
         cu, cv = var_map.get(u, u), var_map.get(v, v)
         if cu == cv or cu not in values or cv not in values:
             continue
-        if values[cu] == values[cv] and problem.solvers[tid].entails_eq(
-            collapsed, cu, cv
+        # the decided witness alone rules out most pairs; scan the
+        # counter-models only when it agrees
+        if values[cu] != values[cv] or any(
+            m[cu] != m[cv] for m in map(witness_values, models[1:])
         ):
+            continue
+        if problem.solvers[tid].entails_eq(collapsed, cu, cv, models):
             return True
     return False
 

@@ -39,9 +39,10 @@ class WitnessCheckFailed(RuntimeError):
     check.  The checks are explicit, so they also run under ``python -O``."""
 
 
-def canonical_ranks(values: Iterable[int]) -> tuple[int, ...]:
-    """Rank-compress values to the canonical weak order (contiguous from 0)."""
-    values = tuple(values)
+@lru_cache(maxsize=4096)
+def canonical_ranks(values: tuple[int, ...]) -> tuple[int, ...]:
+    """Rank-compress values to the canonical weak order (contiguous from 0).
+    Memoized: witness replay asks for the same few short tuples many times."""
     rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
     return tuple(rank_of[v] for v in values)
 
@@ -326,22 +327,17 @@ def _atom_patterns(
     return slots, tuple(patterns)
 
 
-def _prepare_temporal_atom(
-    atom: Atom, idx: dict[str, int], relation: TemporalRelation
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """Reduce an atom to kernel form: variable-index pairs plus the status
-    bits each allowed pattern induces on them."""
-    positions = [idx[v] for v in atom.args]
-    shape = tuple(map(positions.index, positions))
-    slots, patterns = _atom_patterns(relation, shape)
-    return tuple((positions[u], positions[w]) for u, w in slots), patterns
-
-
 def temporal_decide(
     inst: Instance, relations: Mapping[str, TemporalRelation]
 ) -> SolveResult:
     """Branch-and-prune search for a weak order over all variables satisfying
-    every atom's order-type set, merging Eq pairs and separating Neq pairs."""
+    every atom's order-type set, merging Eq pairs and separating Neq pairs.
+
+    Each atom goes to the kernel as variable-index pairs plus the status bits
+    each allowed pattern induces on them.  A relation is resolved once per
+    call, together with the patterns of its atoms with distinct arguments;
+    only an atom that repeats an argument looks up the patterns of its shape.
+    """
     variables = inst.variables
     idx = {v: i for i, v in enumerate(variables)}
     n = len(variables)
@@ -349,20 +345,29 @@ def temporal_decide(
     ordered = inst.sorted_atoms()
     atoms = []
     resolved: list[tuple[Atom, TemporalRelation]] = []
+    by_name: dict[str, tuple[TemporalRelation, tuple]] = {}
     for atom in ordered:
         if atom.kind != REL:
             continue
-        relation = relations.get(atom.symbol.name) or relation_for_name(
-            atom.symbol.name
-        )
-        if relation is None:
-            raise ContractViolation(f"unresolved relation {atom.symbol.name!r}")
+        name = atom.symbol.name
+        entry = by_name.get(name)
+        if entry is None:
+            relation = relations.get(name) or relation_for_name(name)
+            if relation is None:
+                raise ContractViolation(f"unresolved relation {name!r}")
+            distinct = _atom_patterns(relation, tuple(range(relation.arity)))
+            entry = by_name[name] = (relation, distinct)
+        relation, (slots, patterns) = entry
         if relation.arity != len(atom.args):
-            raise ContractViolation(
-                f"relation {atom.symbol.name!r} arity mismatch"
-            )
+            raise ContractViolation(f"relation {name!r} arity mismatch")
+        positions = [idx[v] for v in atom.args]
+        if len(set(positions)) != len(positions):
+            shape = tuple(map(positions.index, positions))
+            slots, patterns = _atom_patterns(relation, shape)
         resolved.append((atom, relation))
-        atoms.append(_prepare_temporal_atom(atom, idx, relation))
+        atoms.append(
+            (tuple([(positions[u], positions[w]) for u, w in slots]), patterns)
+        )
 
     constraints = []
     for atom in ordered:
@@ -472,11 +477,19 @@ class TheorySolver:
             return henson_decide(inst, self.forbidden)
         raise ValueError(f"unknown theory kind {self.kind!r}")
 
-    def entails_eq(self, inst: Instance, x: str, y: str) -> bool:
+    def entails_eq(
+        self, inst: Instance, x: str, y: str, counter_models: list | None = None
+    ) -> bool:
+        """Whether inst entails x = y, that is, inst with x != y added is
+        unsatisfiable.  When it is satisfiable and ``counter_models`` is
+        given, the witness separating x and y is appended to that list."""
         from .formulas import make_instance, neq
 
         extended = make_instance(set(inst.atoms) | {neq(x, y)})
-        return not self.decide(extended).sat
+        result = self.decide(extended)
+        if result.sat and counter_models is not None:
+            counter_models.append(result.witness)
+        return not result.sat
 
 
 def solvers_for(problem) -> dict[str, TheorySolver]:

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from qcsp import _kernels
+from qcsp import _kernels, cli
 from qcsp.cli import EXIT_INTERNAL, main
+from qcsp.combine import CombinedWitness
 from qcsp.formulas import REL, parse_problem
-from qcsp.theories import canonical_ranks, relation_for_name
+from qcsp.theories import SolveResult, canonical_ranks, relation_for_name
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -135,6 +136,21 @@ def test_failed_internal_check_exits_internal(monkeypatch, capsys):
     assert code == EXIT_INTERNAL == 5
     assert out == ""
     assert err.startswith("internal error: temporal witness violates")
+
+
+def test_sat_witness_that_does_not_replay_exits_internal(monkeypatch, capsys):
+    # t1 has x < y; a t1 model with y below x must not reach stdout
+    bad = SolveResult(True, CombinedWitness(
+        arrangement=(("x",), ("y",)),
+        part_witnesses={"t1": {"x": 1, "y": 0}, "t2": {"x": 1, "y": 0}},
+    ))
+    monkeypatch.setattr(cli, "solve_auto", lambda problem: bad)
+    code, out, err = run_cli(
+        "solve", str(FIXTURES / "pa_pair_sat.qcsp"), "--witness", capsys=capsys
+    )
+    assert code == EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("internal error: the SAT witness does not replay")
 
 
 def test_oracle_command(capsys):

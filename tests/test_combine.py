@@ -8,10 +8,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcsp.checking import check_combined_witness
+from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import (
     Arrangement,
     _decide_parts,
+    _entailed_by_a_part,
     _first_entailed,
     CombinedProblem,
     ConvexityFlagFalse,
@@ -295,9 +296,9 @@ def test_search_tests_entailment_only_where_witnesses_agree(monkeypatch):
     calls = []
     original = TheorySolver.entails_eq
 
-    def counting(self, inst, x, y):
+    def counting(self, inst, x, y, counter_models=None):
         calls.append((self.theory_id, x, y))
-        return original(self, inst, x, y)
+        return original(self, inst, x, y, counter_models)
 
     monkeypatch.setattr(TheorySolver, "entails_eq", counting)
     result = solve_complete(_chain_problem(10))
@@ -325,7 +326,8 @@ def _combined_problems(draw):
     solvers, symbols, cyclic = COMBOS[draw(st.sampled_from(sorted(COMBOS)))]
     names = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
     atoms = []
-    if cyclic and draw(st.booleans()):
+    gadget = draw(st.sampled_from(["none", "cycle", "chain"])) if cyclic else "none"
+    if gadget == "cycle":
         # a leq cycle makes a part entail equalities among its members
         cycle = draw(
             st.lists(st.sampled_from(names), min_size=2, max_size=4, unique=True)
@@ -333,6 +335,16 @@ def _combined_problems(draw):
         symbol = draw(st.sampled_from(cyclic))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             atoms.append(rel(symbol, a, b))
+    elif gadget == "chain":
+        # a leq chain that descends in name order: a temporal part's least
+        # witness ties its members, though no part entails any of those
+        # equalities, so counter-models pile up at one node
+        chain = sorted(draw(st.lists(
+            st.sampled_from(names), min_size=min(3, len(names)), max_size=5,
+            unique=True,
+        )))
+        for a, b in zip(chain, chain[1:]):
+            atoms.append(rel(cyclic[0], b, a))
     kinds = [s for s in symbols if s.arity <= len(names)] + ["eq", "neq"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=7)):
         arity = 2 if isinstance(kind, str) else kind.arity
@@ -378,39 +390,130 @@ def _apart_under(learned, names):
             if classes.find(x) != classes.find(y)]
 
 
-@FILTER_SETTINGS
-@given(st.data())
-def test_propagate_step_matches_asking_every_part(data):
-    problem, names = data.draw(_combined_problems())
-    learned = {eq(x, y) for x, y in data.draw(_pair_subsets(names))}
-    found = propagate_step(problem, learned)
-    if found is None:
-        # a part rejects the learned equalities: the combination is UNSAT
-        assert any(
-            not problem.solvers[tid].decide(
-                collapse_equalities(make_instance(set(part.atoms) | learned))[0]
-            ).sat
-            for tid, part in problem.parts.items()
-        )
-    else:
-        assert found == {
-            eq(x, y) for x, y in _apart_under(learned, names)
-            if _reference_entailed(problem, learned, x, y)
-        }
+def _most_models_held(monkeypatch, check) -> int:
+    """Run check(data, problem, names) on every generated combined problem
+    and return the most models a part held when one of its entailment tests
+    ran: 2 or more means a counter-model kept at a node failed to rule that
+    pair out, so the scan over kept models was exercised."""
+    held = [0]
+    original = TheorySolver.entails_eq
+
+    def spying(self, inst, x, y, counter_models=None):
+        if counter_models is not None:
+            held[0] = max(held[0], len(counter_models))
+        return original(self, inst, x, y, counter_models)
+
+    monkeypatch.setattr(TheorySolver, "entails_eq", spying)
+
+    @FILTER_SETTINGS
+    @given(st.data())
+    def run(data):
+        check(data, *data.draw(_combined_problems()))
+
+    run()
+    return held[0]
 
 
-@FILTER_SETTINGS
-@given(st.data())
-def test_first_entailed_matches_asking_every_part(data):
-    problem, names = data.draw(_combined_problems())
+def test_propagate_step_matches_asking_every_part(monkeypatch):
+    def check(data, problem, names):
+        learned = {eq(x, y) for x, y in data.draw(_pair_subsets(names))}
+        found = propagate_step(problem, learned)
+        if found is None:
+            # a part rejects the learned equalities: the combination is UNSAT
+            assert any(
+                not problem.solvers[tid].decide(
+                    collapse_equalities(make_instance(set(part.atoms) | learned))[0]
+                ).sat
+                for tid, part in problem.parts.items()
+            )
+        else:
+            assert found == {
+                eq(x, y) for x, y in _apart_under(learned, names)
+                if _reference_entailed(problem, learned, x, y)
+            }
+
+    assert _most_models_held(monkeypatch, check) >= 2
+
+
+def _node(data, problem, names):
+    """Decide the parts under a drawn node: its merges, its distinct pairs,
+    the contexts, and whether every part accepts it."""
     merges = {eq(x, y) for x, y in data.draw(_pair_subsets(names, 2))}
     distinct = data.draw(_pair_subsets(names, 2))
     ok, _, contexts = _decide_parts(problem, merges, distinct)
-    if not ok:
-        return
-    node = merges | {neq(x, y) for x, y in distinct}
-    pending = _apart_under(merges, names)
-    expected = next(
-        (p for p in pending if _reference_entailed(problem, node, *p)), None
-    )
-    assert _first_entailed(problem, contexts, pending) == expected
+    return merges, distinct, contexts, ok
+
+
+def test_first_entailed_matches_asking_every_part(monkeypatch):
+    def check(data, problem, names):
+        merges, distinct, contexts, ok = _node(data, problem, names)
+        if not ok:
+            return
+        node = merges | {neq(x, y) for x, y in distinct}
+        pending = _apart_under(merges, names)
+        expected = next(
+            (p for p in pending if _reference_entailed(problem, node, *p)), None
+        )
+        assert _first_entailed(problem, contexts, pending) == expected
+
+    assert _most_models_held(monkeypatch, check) >= 2
+
+
+def test_kept_counter_models_replay(monkeypatch):
+    # every model a part keeps at a node satisfies the part's collapsed
+    # instance under that node's decisions, so it may rule pairs out
+    def check(data, problem, names):
+        merges, _, contexts, ok = _node(data, problem, names)
+        if not ok:
+            return
+        for x, y in _apart_under(merges, names):
+            _entailed_by_a_part(problem, contexts, x, y)
+        for tid, (collapsed, _, _, models) in contexts.items():
+            for model in models:
+                assert check_part_witness(problem.solvers[tid], collapsed, model)
+
+    assert _most_models_held(monkeypatch, check) >= 2
+
+
+# A temporal mi/leq part and a point-algebra part over five shared variables
+# (SAT).  The search's first witnesses make many pairs equal that no part
+# entails; with one witness per part the search makes 27 entailment tests,
+# keeping the counter-models cuts that to 6.
+MI_PA = """\
+theory t1 temporal
+relation t1 leq/2 ordertypes 0/0,0/1
+relation t1 mi/3 builtin mi
+theory t2 point_algebra
+atom t1 leq v01 v00
+atom t2 lt v02 v03
+atom t2 lt v02 v01
+atom t1 mi v04 v00 v02
+atom t1 leq v03 v00
+atom t2 leq v00 v03
+atom t1 mi v00 v04 v02
+atom t1 mi v00 v04 v03
+atom t2 leq v04 v01
+atom t1 mi v01 v04 v03
+atom t2 leq v02 v01
+atom t1 mi v03 v02 v01
+"""
+
+
+def test_counter_models_cut_entailment_tests(monkeypatch):
+    problem = combined_problem(parse_problem(MI_PA))
+    original = TheorySolver.entails_eq
+    calls = {True: 0, False: 0}
+
+    def solve(keep_counter_models):
+        def counting(self, inst, x, y, counter_models=None):
+            calls[keep_counter_models] += 1
+            kept = counter_models if keep_counter_models else None
+            return original(self, inst, x, y, kept)
+
+        monkeypatch.setattr(TheorySolver, "entails_eq", counting)
+        return solve_complete(problem)
+
+    kept, single = solve(True), solve(False)
+    assert kept == single and kept.sat
+    assert check_combined_witness(problem, kept)
+    assert calls[True] < calls[False]
