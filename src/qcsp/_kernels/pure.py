@@ -5,10 +5,14 @@ pairs, held in a flat n*n byte table with table[j*n+i] the flip of
 table[i*n+j].  The temporal search enforces path consistency over the full
 point-algebra composition (Vilain & Kautz 1986; van Beek 1992) plus support
 for every atom, driven by a worklist of changed pairs, and then branches.
+On request it also hands back the fixpoint reached at the root: a status
+left at exactly ``=`` is entailed equal, one without ``=`` entailed
+distinct, since propagation removes only statuses that no solution has.
 
 The compiled twin in ``_speed.pyx`` propagates more weakly (it composes only
-definite statuses and re-sweeps every triple), but both return the solution
-that is least in the fixed pair order, so their results are identical.
+definite statuses and re-sweeps every triple) and returns no root state, but
+both return the solution that is least in the fixed pair order, so their
+results are identical.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ def _ranks_of(n, state):
     return tuple(rank_of[k] for k in keys)
 
 
-def temporal_search(n, atoms, constraints):
+def temporal_search(n, atoms, constraints, root=None):
     """Deterministic branch-and-prune over pairwise statuses.
 
     atoms: sequence of (pairs, patbits) where pairs is a tuple of (i, j)
@@ -181,7 +185,9 @@ def temporal_search(n, atoms, constraints):
     canonical rank tuple of the first solution in <, =, > branch order, or
     None.  Branching fixes the first open pair in the order (0, 1), (0, 2),
     ..., and propagation removes only statuses that no solution below the
-    node has, so that solution is the least in this order.
+    node has, so that solution is the least in this order.  When root is a
+    list, the n*n status table of the root fixpoint is appended to it once
+    the root propagation succeeds; it stays empty when the root fails.
     """
     state = bytearray([ALL]) * (n * n)
     state[:: n + 1] = bytes([EQB]) * n
@@ -216,6 +222,11 @@ def temporal_search(n, atoms, constraints):
         current, pairs, pending = stack.pop()
         if not _propagate(n, current, prepared, watch, pairs, pending):
             continue
+        if root is not None:
+            # hand back the root once; children copy this table, so it is
+            # never written again
+            root.append(current)
+            root = None
         open_pair = _first_open_pair(n, current)
         if open_pair is None:
             return _ranks_of(n, current)

@@ -7,14 +7,20 @@ variables are made pairwise distinct, per-theory satisfiability implies joint
 satisfiability, so exhausting arrangements is complete.  Convex mode checks
 the arrangement it ends with in every part, so a false convexity flag is
 detected rather than trusted; ``solve_auto`` then falls back to the search.
+
+Both modes use theory propagation (Nieuwenhuis, Oliveras & Tinelli 2006):
+every decide also reports shared (dis)equalities its part entails, so an
+entailed equality needs no entailment test and the search decides an
+entailed disequality apart without trying the equal branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .formulas import (
+    EQ,
     NEQ,
     Atom,
     Instance,
@@ -129,13 +135,20 @@ def propagate_step(
     }
 
 
-# A part under a node's decisions: its collapsed instance, the collapse map,
-# the values of the witness the part was decided with, and the models of the
-# part known at this node: that witness first, then every counter-model an
-# entailment test returned (values and models empty when the part rejected
-# the node).  Models are never carried to another node or round: a later
-# node or round adds atoms, which a kept model need not satisfy.
-_Context = tuple[Instance, dict[str, str], Mapping[str, object], list[object]]
+class _Context(NamedTuple):
+    """A part under a node's decisions: its collapsed instance, the collapse
+    map, the values of the witness the part was decided with, the models of
+    the part known at this node (that witness first, then every
+    counter-model an entailment test returned) and the facts its decide
+    reported (values and models empty when the part rejected the node).
+    Models are never carried to another node or round: a later node or
+    round adds atoms, which a kept model need not satisfy."""
+
+    collapsed: Instance
+    var_map: dict[str, str]
+    values: Mapping[str, object]
+    models: list[object]
+    facts: Callable[[str, str], str | None]
 
 
 def _decide_parts(
@@ -155,7 +168,9 @@ def _decide_parts(
         result = problem.solvers[tid].decide(collapsed)
         results[tid] = result
         models = [result.witness] if result.sat else []
-        contexts[tid] = (collapsed, var_map, witness_values(result.witness), models)
+        contexts[tid] = _Context(
+            collapsed, var_map, witness_values(result.witness), models, result.facts
+        )
         if not result.sat:
             return False, results, contexts
     return True, results, contexts
@@ -169,13 +184,15 @@ def _entailed_by_a_part(
     Model-based combination: a part entails u = v only if every model it
     has at this node gives u and v the same value, so only those pairs are
     tested, and a test that answers no adds its counter-model to the part's
-    models.  A variable the witness lacks occurs in no atom of the part;
-    every theory has infinite models (an isolated fresh vertex stays in a
-    henson age), so that variable can differ from all others and the part
-    cannot entail the equality.
+    models.  A pair the part's decide reported equal needs no test; the
+    report is read only after the models agree, since that check is cheaper
+    and rules out most pairs.  A variable the witness lacks occurs in no
+    atom of the part; every theory has infinite models (an isolated fresh
+    vertex stays in a henson age), so that variable can differ from all
+    others and the part cannot entail the equality.
     """
     for tid in sorted(problem.parts):
-        collapsed, var_map, values, models = contexts[tid]
+        collapsed, var_map, values, models, facts = contexts[tid]
         cu, cv = var_map.get(u, u), var_map.get(v, v)
         if cu == cv or cu not in values or cv not in values:
             continue
@@ -185,7 +202,9 @@ def _entailed_by_a_part(
             m[cu] != m[cv] for m in map(witness_values, models[1:])
         ):
             continue
-        if problem.solvers[tid].entails_eq(collapsed, cu, cv, models):
+        if facts(cu, cv) == EQ or problem.solvers[tid].entails_eq(
+            collapsed, cu, cv, models
+        ):
             return True
     return False
 
@@ -274,13 +293,42 @@ def _first_entailed(
     return None
 
 
+def _reported_apart(
+    contexts: dict[str, _Context],
+    pairs: list[tuple[str, str]],
+    rep: dict[str, str],
+) -> frozenset[tuple[str, str]]:
+    """The representative pairs of the given pairs that some part reported
+    distinct, each keyed least first."""
+    keys: set[tuple[str, str]] = set()
+    for u, v in pairs:
+        ru, rv = rep[u], rep[v]
+        key = (ru, rv) if ru < rv else (rv, ru)
+        if key in keys:
+            continue
+        for ctx in contexts.values():
+            if ctx.facts(ctx.var_map.get(u, u), ctx.var_map.get(v, v)) == NEQ:
+                keys.add(key)
+                break
+    return frozenset(keys)
+
+
 def solve_complete(problem: CombinedProblem) -> SolveResult:
     """Complete arrangement search over the shared variables.
 
     Depth first over an explicit stack of decisions: equalities merged so far
-    and representative pairs decided apart.  Each node decides every part,
-    merges in place a pair some part already entails equal, and otherwise
+    and representative pairs decided apart.  Each node decides every part
+    and then, in this order, merges in place a pair some part entails equal,
+    or decides apart every undecided pair some part reported distinct, or
     branches on the first undecided pair, the equal branch first.
+
+    The search returns the least accepted arrangement in pair order, equal
+    before distinct, and a leaf's part witnesses depend only on its
+    partition.  A forced merge or apart decision is entailed at its node, so
+    it cuts only subtrees that hold no accepted leaf, and the result is the
+    one plain branching would find.  An undecided pair no part entails
+    equal (none is left once no merge is forced) cannot be reported equal
+    by a sound part, so a distinct report there needs no conflict check.
     """
     if not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
@@ -300,6 +348,10 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
         forced = _first_entailed(problem, contexts, pending)
         if forced is not None:
             stack.append((merges | {eq(*forced)}, distinct))
+            continue
+        apart = _reported_apart(contexts, pending, rep)
+        if apart:
+            stack.append((merges, distinct | apart))
             continue
         u, v = pending[0]
         ru, rv = rep[u], rep[v]

@@ -4,7 +4,8 @@ Four theory kinds ship: equality (the pure-equality structure), point_algebra
 (the order relations lt/leq over a dense order), temporal (relations given
 extensionally as sets of allowed order types), and henson (digraphs omitting
 a fixed set of finite tournaments, plus a loop-vertex variant used by the
-reduction machinery).  Every solver returns a replayable witness on SAT.
+reduction machinery).  Every solver returns a replayable witness on SAT,
+and with it the shared (dis)equalities it can read off its own fixpoint.
 """
 
 from __future__ import annotations
@@ -115,10 +116,22 @@ def witness_values(witness) -> Mapping[str, object]:
     return witness or {}
 
 
+def _no_facts(x: str, y: str) -> str | None:
+    return None
+
+
 @dataclass(frozen=True)
 class SolveResult:
+    """A verdict, its witness, and on SAT the entailed facts of the decided
+    instance: ``facts(x, y)`` is ``EQ`` when every model has x = y, ``NEQ``
+    when none has, and None when the solver cannot tell cheaply.  The facts
+    are a sound subset, read off lazily, one pair per call."""
+
     sat: bool
     witness: object | None = None
+    facts: Callable[[str, str], str | None] = field(
+        default=_no_facts, compare=False, repr=False
+    )
 
     @property
     def verdict(self) -> str:
@@ -165,6 +178,26 @@ def relation_for_name(name: str) -> TemporalRelation | None:
     return _BINARY_RELATIONS.get(name)
 
 
+def _partition_facts(
+    rep: Mapping[str, str], *apart: set[tuple[str, str]]
+) -> Callable[[str, str], str | None]:
+    """Facts of a partition: one class entails equal, and a pair of classes
+    held, in either order, in one of the ``apart`` sets entails distinct."""
+
+    def facts(x: str, y: str) -> str | None:
+        rx, ry = rep.get(x), rep.get(y)
+        if rx is None or ry is None:
+            return None
+        if rx == ry:
+            return EQ
+        for pairs in apart:
+            if (rx, ry) in pairs or (ry, rx) in pairs:
+                return NEQ
+        return None
+
+    return facts
+
+
 def eq_decide(inst: Instance) -> SolveResult:
     """Equality theory over an infinite domain: UNSAT iff a disequality links
     one equality class to itself."""
@@ -175,23 +208,32 @@ def eq_decide(inst: Instance) -> SolveResult:
     for atom in inst.atoms:
         if atom.kind == EQ:
             uf.union(*atom.args)
+    rep_of = uf.mapping()
+    apart: set[tuple[str, str]] = set()
     for atom in inst.atoms:
-        if atom.kind == NEQ and uf.find(atom.args[0]) == uf.find(atom.args[1]):
-            return UNSAT
+        if atom.kind == NEQ:
+            a, b = rep_of[atom.args[0]], rep_of[atom.args[1]]
+            if a == b:
+                return UNSAT
+            apart.add((a, b))
     classes: dict[str, list[str]] = {}
     for v in inst.variables:
-        classes.setdefault(uf.find(v), []).append(v)
+        classes.setdefault(rep_of[v], []).append(v)
     witness: dict[str, int] = {}
     for index, rep in enumerate(sorted(classes)):
         for v in classes[rep]:
             witness[v] = index
-    return SolveResult(True, witness)
+    return SolveResult(True, witness, _partition_facts(rep_of, apart))
 
 
 def pa_decide(inst: Instance) -> SolveResult:
     """Point algebra over lt/leq: contract strongly connected components of
     the weak-order digraph, then reject strict or disequality atoms that fold
-    into a single component."""
+    into a single component.
+
+    Facts: one component entails equal.  Two components are entailed
+    distinct when a disequality joins them or a path with a strict edge runs
+    from one to the other."""
     for atom in inst.atoms:
         if atom.kind == REL and atom.symbol.name not in ("lt", "leq"):
             raise ContractViolation(
@@ -215,14 +257,18 @@ def pa_decide(inst: Instance) -> SolveResult:
 
     comp = _tarjan_components(reps, succ)
 
+    strict_comps: set[tuple[int, int]] = set()
     for a, b in strict:
         if comp[a] == comp[b]:
             return UNSAT
+        strict_comps.add((comp[a], comp[b]))
+    neq_comps: set[tuple[int, int]] = set()
     for atom in inst.atoms:
         if atom.kind == NEQ:
-            a, b = uf.find(atom.args[0]), uf.find(atom.args[1])
-            if comp[a] == comp[b]:
+            ca, cb = comp[uf.find(atom.args[0])], comp[uf.find(atom.args[1])]
+            if ca == cb:
                 return UNSAT
+            neq_comps.update(((ca, cb), (cb, ca)))
 
     # rank components along a deterministic topological order
     n_comps = max(comp.values()) + 1 if comp else 0
@@ -250,8 +296,42 @@ def pa_decide(inst: Instance) -> SolveResult:
             if indegree[d] == 0:
                 heapq.heappush(heap, (min(members[d]), d))
 
-    witness = {v: rank_of_comp[comp[uf.find(v)]] for v in inst.variables}
-    return SolveResult(True, witness)
+    comp_of = {v: comp[uf.find(v)] for v in inst.variables}
+    witness = {v: rank_of_comp[c] for v, c in comp_of.items()}
+    below: dict[int, set[int]] = {}
+
+    def strictly_below(c: int) -> set[int]:
+        """The components a path from c with a strict edge reaches."""
+        found = below.get(c)
+        if found is None:
+            found = below[c] = set()
+            plain = {c}
+            stack = [(c, False)]
+            while stack:
+                d, through_strict = stack.pop()
+                for e in out[d]:
+                    now_strict = through_strict or (d, e) in strict_comps
+                    seen = found if now_strict else plain
+                    if e not in seen:
+                        seen.add(e)
+                        stack.append((e, now_strict))
+        return found
+
+    def facts(x: str, y: str) -> str | None:
+        cx, cy = comp_of.get(x), comp_of.get(y)
+        if cx is None or cy is None:
+            return None
+        if cx == cy:
+            return EQ
+        if (
+            (cx, cy) in neq_comps
+            or cy in strictly_below(cx)
+            or cx in strictly_below(cy)
+        ):
+            return NEQ
+        return None
+
+    return SolveResult(True, witness, facts)
 
 
 def _tarjan_components(nodes: list[str], succ: Mapping[str, set[str]]) -> dict[str, int]:
@@ -337,6 +417,10 @@ def temporal_decide(
     each allowed pattern induces on them.  A relation is resolved once per
     call, together with the patterns of its atoms with distinct arguments;
     only an atom that repeats an argument looks up the patterns of its shape.
+
+    Facts are read off the kernel's root fixpoint: a pair left at exactly
+    ``=`` is entailed equal, a pair without ``=`` entailed distinct.  A
+    kernel that hands back no root state gives no facts.
     """
     variables = inst.variables
     idx = {v: i for i, v in enumerate(variables)}
@@ -381,7 +465,8 @@ def temporal_decide(
                 return UNSAT
             constraints.append((i, j, LT_BIT | GT_BIT))
 
-    ranks = _kernels.temporal_search(n, tuple(atoms), tuple(constraints))
+    root: list[bytearray] = []
+    ranks = _kernels.temporal_search(n, tuple(atoms), tuple(constraints), root)
     if ranks is None:
         return UNSAT
 
@@ -395,7 +480,20 @@ def temporal_decide(
         same = witness[atom.args[0]] == witness[atom.args[1]]
         if same != (atom.kind == EQ):
             raise WitnessCheckFailed(f"temporal witness violates {atom}")
-    return SolveResult(True, witness)
+    if not root:
+        return SolveResult(True, witness)
+    state = root[0]
+
+    def facts(x: str, y: str) -> str | None:
+        i, j = idx.get(x), idx.get(y)
+        if i is None or j is None:
+            return None
+        status = state[i * n + j]
+        if status == EQ_BIT:
+            return EQ
+        return None if status & EQ_BIT else NEQ
+
+    return SolveResult(True, witness, facts)
 
 
 def prepare_tournaments(
@@ -429,7 +527,9 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     """Satisfiability over the homogeneous digraph omitting the given
     tournaments.  The age is loopless and digon-free, so an instance is
     unsatisfiable exactly when a collapse yields a reflexive disequality, a
-    loop, a digon, or an embedded forbidden tournament."""
+    loop, a digon, or an embedded forbidden tournament.  Facts: variables
+    collapsed onto one vertex are equal; the ends of an arc, in either
+    direction, and of a disequality are distinct."""
     for atom in inst.atoms:
         if atom.kind == REL and (atom.symbol.name != "E" or len(atom.args) != 2):
             raise ContractViolation(
@@ -437,9 +537,12 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
             )
     collapsed, var_map = collapse_equalities(inst)
     arcs: set[tuple[str, str]] = set()
+    neqs: set[tuple[str, str]] = set()
     for atom in collapsed.atoms:
-        if atom.kind == NEQ and atom.args[0] == atom.args[1]:
-            return UNSAT
+        if atom.kind == NEQ:
+            if atom.args[0] == atom.args[1]:
+                return UNSAT
+            neqs.add(atom.args)
         if atom.kind == REL:
             a, b = atom.args
             if a == b:
@@ -453,7 +556,7 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
         return UNSAT
     # every input variable goes to its class representative's vertex
     witness = HensonWitness(assignment=var_map, arcs=frozenset(arcs))
-    return SolveResult(True, witness)
+    return SolveResult(True, witness, _partition_facts(var_map, neqs, arcs))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcsp import _kernels, combine
+from qcsp._kernels import pure
 from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import (
     Arrangement,
@@ -264,20 +266,45 @@ def _stack_depth() -> int:
     return depth
 
 
-def _chain_problem(n: int) -> CombinedProblem:
+def _chain_problem(n: int, t1: TheorySolver = PA1) -> CombinedProblem:
     """An lt chain in t1 and a leq chain in t2 over n shared variables: SAT
     with every variable in its own block."""
     names = [f"v{i}" for i in range(n)]
     atoms = []
     for a, b in zip(names, names[1:]):
         atoms += [rel(LT1, a, b), rel(LEQ2, a, b)]
-    return _manual_problem(atoms, {"t1": PA1, "t2": PA2}, names)
+    return _manual_problem(atoms, {"t1": t1, "t2": PA2}, names)
 
 
-def test_search_depth_does_not_grow_with_decided_pairs():
-    # 10 shared variables give 45 decided pairs; a search that recursed once
-    # per pair would pass a limit only 40 frames above the caller
-    problem = _chain_problem(10)
+def _count_nodes(monkeypatch) -> list:
+    """Record the arguments of every _decide_parts call: one per node of
+    the complete search."""
+    calls = []
+    original = combine._decide_parts
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(combine, "_decide_parts", counting)
+    return calls
+
+
+def test_search_depth_does_not_grow_with_decided_pairs(monkeypatch):
+    # a temporal lt chain on a kernel that hands back no root state, as the
+    # compiled twin does, reports no entailed disequality: every pair is
+    # decided by branching, and the equal branch fails.  10 shared variables
+    # give 45 decided pairs; a search that recursed once per pair would pass
+    # a limit only 40 frames above the caller
+    monkeypatch.setattr(
+        _kernels,
+        "temporal_search",
+        lambda n, atoms, constraints, root=None: pure.temporal_search(
+            n, atoms, constraints
+        ),
+    )
+    problem = _chain_problem(10, TheorySolver("t1", "temporal", False))
+    nodes = _count_nodes(monkeypatch)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 40)
     try:
@@ -287,6 +314,96 @@ def test_search_depth_does_not_grow_with_decided_pairs():
     assert result.sat
     assert len(result.witness.arrangement) == 10
     assert check_combined_witness(problem, result)
+    assert len(nodes) == 2 * 45 + 1
+
+
+def test_reported_disequalities_settle_a_chain_in_two_nodes(monkeypatch):
+    # t1's lt chain entails every pair distinct; the root decides all of
+    # them apart at once, where branching took 2 * C(28, 2) + 1 = 757 nodes
+    nodes = _count_nodes(monkeypatch)
+    problem = _chain_problem(28)
+    result = solve_complete(problem)
+    assert result.sat and len(result.witness.arrangement) == 28
+    assert check_combined_witness(problem, result)
+    assert len(nodes) <= 2
+
+
+# The mi gadget over 14 shared variables (UNSAT): t1 holds mi/leq atoms
+# over a planted order plus the gadget mi v10 v01 v02, mi v02 v04 v10,
+# leq v10 v01, leq v02 v04, and t2 holds lt v10 v01, lt v02 v04.
+MI_GADGET_14 = """\
+theory t1 temporal
+relation t1 leq/2 ordertypes 0/0,0/1
+relation t1 mi/3 builtin mi
+theory t2 point_algebra
+atom t1 mi v07 v12 v10
+atom t1 leq v08 v05
+atom t2 leq v04 v01
+atom t1 mi v12 v13 v09
+atom t2 leq v05 v08
+atom t1 leq v04 v08
+atom t1 mi v08 v13 v02
+atom t2 lt v11 v02
+atom t2 lt v11 v00
+atom t1 mi v10 v01 v02
+atom t1 mi v02 v04 v10
+atom t1 mi v10 v05 v13
+atom t1 mi v02 v00 v11
+atom t1 leq v04 v06
+atom t1 mi v07 v10 v05
+atom t2 lt v02 v05
+atom t1 leq v11 v06
+atom t2 leq v13 v08
+atom t2 leq v12 v00
+atom t1 mi v04 v11 v13
+atom t1 leq v00 v07
+atom t1 leq v12 v04
+atom t1 mi v01 v12 v00
+atom t1 leq v00 v07
+atom t1 mi v09 v01 v07
+atom t1 mi v00 v11 v01
+atom t2 leq v13 v07
+atom t2 lt v10 v01
+atom t2 lt v13 v09
+atom t1 mi v10 v06 v11
+atom t2 leq v04 v05
+atom t1 mi v06 v08 v01
+atom t2 leq v13 v06
+atom t2 lt v10 v06
+atom t1 mi v03 v12 v05
+atom t2 leq v10 v07
+atom t2 leq v06 v03
+atom t1 leq v02 v04
+atom t1 mi v05 v02 v13
+atom t1 leq v10 v01
+atom t2 lt v02 v04
+"""
+
+
+def test_mi_gadget_is_refuted_near_the_root(monkeypatch):
+    # t2's lt atoms entail the gadget's two disequalities; once they are
+    # decided apart t1 rejects the node.  Branching on the pairs the search
+    # meets first took 2,443 nodes on this instance
+    problem = combined_problem(parse_problem(MI_GADGET_14))
+    assert len(problem.shared) == 14
+    nodes = _count_nodes(monkeypatch)
+    assert not solve_complete(problem).sat
+    assert len(nodes) <= 3
+
+
+def test_equal_facts_replace_entailment_tests(monkeypatch):
+    # a leq cycle puts x and y in one component: the decide reports them
+    # equal, so propagation learns x = y without an entailment test
+    calls = []
+    monkeypatch.setattr(TheorySolver, "entails_eq", lambda *args: calls.append(args))
+    problem = _manual_problem(
+        [rel(LEQ1, "x", "y"), rel(LEQ1, "y", "x")],
+        {"t1": PA1, "t2": EQ2},
+        {"x", "y"},
+    )
+    assert propagate_step(problem, set()) == {eq("x", "y")}
+    assert solve_complete(problem).witness.arrangement == (("x", "y"),)
+    assert calls == []
 
 
 def test_search_tests_entailment_only_where_witnesses_agree(monkeypatch):
@@ -468,7 +585,7 @@ def test_kept_counter_models_replay(monkeypatch):
             return
         for x, y in _apart_under(merges, names):
             _entailed_by_a_part(problem, contexts, x, y)
-        for tid, (collapsed, _, _, models) in contexts.items():
+        for tid, (collapsed, _, _, models, _) in contexts.items():
             for model in models:
                 assert check_part_witness(problem.solvers[tid], collapsed, model)
 

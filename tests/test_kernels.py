@@ -1,6 +1,6 @@
 """Kernel tests: the pure temporal search against a brute-force least
-solution and its propagation fixpoint, and pure and compiled kernels, which
-must agree exactly, witnesses included."""
+solution, its propagation fixpoint and the root fixpoint it hands back, and
+pure and compiled kernels, which must agree exactly, witnesses included."""
 
 import random
 
@@ -79,22 +79,27 @@ def _status(ranks, i, j):
     return pure.EQB if ranks[i] == ranks[j] else pure.GT
 
 
-def _least_solution(n, atoms, constraints):
-    """Brute force: among the weak orders meeting every constraint and atom,
-    the one whose statuses on (0, 1), (0, 2), ..., (n-2, n-1) are least,
-    with < before = before >; None when there is none."""
-    best = None
+def _solutions(n, atoms, constraints):
+    """Brute force: the weak orders meeting every constraint and atom."""
     for ranks in enumerate_weak_orders(n):
         if any(not _status(ranks, i, j) & mask for i, j, mask in constraints):
             continue
-        if not all(
+        if all(
             any(
                 all(_status(ranks, i, j) & b for (i, j), b in zip(pairs, bits))
                 for bits in patbits
             )
             for pairs, patbits in atoms
         ):
-            continue
+            yield ranks
+
+
+def _least_solution(n, atoms, constraints):
+    """Among the solutions, the one whose statuses on (0, 1), (0, 2), ...,
+    (n-2, n-1) are least, with < before = before >; None when there is
+    none."""
+    best = None
+    for ranks in _solutions(n, atoms, constraints):
         key = tuple(
             _status(ranks, i, j) for i in range(n) for j in range(i + 1, n)
         )
@@ -197,6 +202,46 @@ def test_leq_chain_closed_into_a_cycle_is_equal_at_the_root(monkeypatch):
     assert len(calls) == 1
     ok, state = calls[0]
     assert ok and set(state) == {pure.EQB}
+
+
+def test_root_list_receives_the_root_fixpoint(monkeypatch):
+    # root gets the table the single root _propagate left, untouched by the
+    # branches below it, and stays empty when the root fails; asking for it
+    # changes no result
+    calls = _count_propagations(monkeypatch)
+    rng = random.Random(151)
+    roots = 0
+    for _ in range(3000):
+        n, atoms, constraints = _random_temporal_case(rng)
+        calls.clear()
+        root = []
+        result = pure.temporal_search(n, atoms, constraints, root)
+        if calls and calls[0][0]:
+            assert len(root) == 1 and bytes(root[0]) == calls[0][1]
+            roots += 1
+        else:
+            assert root == []
+        assert result == pure.temporal_search(n, atoms, constraints)
+    assert 0 < roots < 3000
+
+
+def test_root_fixpoint_statuses_hold_in_every_solution():
+    # a status left at exactly = is equal, and a status without = is
+    # distinct, in every weak order meeting the atoms and constraints
+    rng = random.Random(157)
+    for _ in range(1000):
+        n, atoms, constraints = _random_temporal_case(rng)
+        if n > 5:
+            continue
+        root = []
+        pure.temporal_search(n, atoms, constraints, root)
+        if not root:
+            continue
+        state = root[0]
+        for ranks in _solutions(n, atoms, constraints):
+            for i in range(n):
+                for j in range(n):
+                    assert _status(ranks, i, j) & state[i * n + j]
 
 
 def test_pure_temporal_search_basics():

@@ -2,17 +2,19 @@
 agreement with the brute-force enumerations."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from qcsp import _kernels
+from qcsp._kernels import pure
 
 from qcsp.checking import (
     check_henson_witness,
     check_part_witness,
     check_value_witness,
 )
-from qcsp.formulas import RelationSymbol, eq, make_instance, neq, rel
+from qcsp.formulas import EQ, NEQ, RelationSymbol, eq, make_instance, neq, rel
 from qcsp.oracle import brute_decide_theory
 from qcsp.theories import (
     ContractViolation,
@@ -327,3 +329,64 @@ def test_witness_replay_all_solvers():
         result = henson_decide(inst, (C3,))
         if result.sat:
             assert check_part_witness(hens, inst, result.witness)
+
+
+# Entailed facts: every decide reports shared (dis)equalities, a sound subset
+BETWEEN = relation_from_predicate(3, lambda w: w[0] < w[1] < w[2] or w[2] < w[1] < w[0])
+FACT_RELS = {"mi": builtin_mi(), "between": BETWEEN}
+BETWEEN1 = RelationSymbol("t1", "between", 3)
+FACT_SOLVERS = {
+    "equality": TheorySolver("t1", "equality", True),
+    "point_algebra": TheorySolver("t1", "point_algebra", True),
+    "temporal": TheorySolver("t1", "temporal", False, relations=FACT_RELS),
+    "henson": TheorySolver("t1", "henson", False, forbidden=(C3,)),
+}
+FACT_SYMBOLS = {
+    "equality": (),
+    "point_algebra": (LT, LEQ),
+    "temporal": (LT, LEQ, MI, BETWEEN1),
+    "henson": (E,),
+}
+
+
+def _random_fact_instance(rng, kind):
+    names = [chr(97 + i) for i in range(rng.randint(2, 5))]
+    atoms = []
+    for _ in range(rng.randint(1, 7)):
+        symbol = rng.choice(FACT_SYMBOLS[kind] + ("eq", "neq"))
+        if symbol in ("eq", "neq"):
+            x, y = rng.sample(names, 2)
+            atoms.append(eq(x, y) if symbol == "eq" else neq(x, y))
+        else:
+            atoms.append(rel(symbol, *[rng.choice(names) for _ in range(symbol.arity)]))
+    return make_instance(atoms)
+
+
+@pytest.mark.parametrize("kind", sorted(FACT_SOLVERS))
+def test_reported_facts_are_entailed(kind, monkeypatch):
+    # an equal fact passes entails_eq; a distinct fact makes the instance
+    # with x = y added unsatisfiable, by brute force.  Only the pure kernel
+    # hands back the root fixpoint temporal facts come from
+    monkeypatch.setattr(_kernels, "temporal_search", pure.temporal_search)
+    solver = FACT_SOLVERS[kind]
+    rng = random.Random(163)
+    found = {EQ: 0, NEQ: 0}
+    for _ in range(1000):
+        inst = _random_fact_instance(rng, kind)
+        result = solver.decide(inst)
+        if not result.sat:
+            continue
+        for x, y in combinations(inst.variables, 2):
+            fact = result.facts(x, y)
+            if fact == EQ:
+                assert solver.entails_eq(inst, x, y), (inst, x, y)
+            elif fact == NEQ:
+                merged = make_instance(set(inst.atoms) | {eq(x, y)})
+                assert not brute_decide_theory(
+                    kind, merged, relations=FACT_RELS, forbidden=(C3,)
+                ).sat, (inst, x, y)
+            else:
+                assert fact is None
+            found[fact] = found.get(fact, 0) + 1
+        assert result.facts("a", "unknown") is None
+    assert found[EQ] > 0 and found[NEQ] > 0
