@@ -37,7 +37,6 @@ from .theories import (
     henson_decide,
     pa_decide,
     relation_from_predicate,
-    solvers_for,
     temporal_decide,
 )
 from .combine import (

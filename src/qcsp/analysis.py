@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .formulas import Atom, Instance, PPFormula, REL, RelationSymbol, eq, make_instance, neq
 from .oracle import brute_decide_theory
-from .theories import SolveResult, TheorySolver, WitnessCheckFailed
+from .theories import KINDS, SolveResult, TheorySolver, WitnessCheckFailed
 
 EXHAUSTIVE_MAX_VARS = 5
 EXHAUSTIVE_MAX_ATOMS = 5
@@ -41,15 +41,11 @@ class ConvexityWitness:
 
 
 def probe_relations(solver: TheorySolver) -> list[tuple[str, int]]:
-    if solver.kind == "equality":
-        return []
-    if solver.kind == "point_algebra":
-        return [("leq", 2), ("lt", 2)]
-    if solver.kind == "temporal":
-        return sorted((name, rel.arity) for name, rel in solver.relations.items())
-    if solver.kind == "henson":
-        return [("E", 2)]
-    raise ValueError(f"unknown theory kind {solver.kind!r}")
+    """The relations the solver's kind fixes, or those its theory declares."""
+    fixed = KINDS[solver.kind].relations
+    if fixed is None:
+        fixed = {name: rel.arity for name, rel in solver.relations.items()}
+    return sorted(fixed.items())
 
 
 def _atom_universe(

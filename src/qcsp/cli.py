@@ -10,6 +10,7 @@ SAT witness ``solve`` makes before it prints; no verdict is printed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .analysis import probe_convexity, check_cross_prevention
@@ -33,7 +34,7 @@ from .formulas import (
 )
 from .henson import build_s_star, component_label_solve
 from .oracle import BoundExceeded, superpose_bruteforce
-from .theories import HensonWitness, SolveResult, WitnessCheckFailed
+from .theories import SolveResult, TheorySolver, WitnessCheckFailed, witness_values
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,14 +61,7 @@ def _print_witness(problem: CombinedProblem, result: SolveResult) -> None:
     for v in sorted(block_of):
         print(f"arrangement {v} {block_of[v]}")
     for tid in sorted(witness.part_witnesses):
-        part_witness = witness.part_witnesses[tid]
-        if part_witness is None:
-            continue
-        values = (
-            part_witness.assignment
-            if isinstance(part_witness, HensonWitness)
-            else part_witness
-        )
+        values = witness_values(witness.part_witnesses[tid])
         for var in sorted(values):
             print(f"model {tid} {var} {values[var]}")
 
@@ -116,13 +110,10 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _single_solver(problem: Problem):
-    from .theories import solvers_for
-
-    solvers = solvers_for(problem)
-    if len(solvers) != 1:
+def _single_solver(problem: Problem) -> TheorySolver:
+    if len(problem.theories) != 1:
         raise ParseError("this command needs a file declaring exactly one theory")
-    return next(iter(solvers.values()))
+    return next(iter(problem.theories.values()))
 
 
 def cmd_probe(args) -> int:
@@ -184,39 +175,45 @@ def cmd_cross(args) -> int:
     return EXIT_OK
 
 
-def _henson_context(problem: Problem):
-    henson_theories = [
-        decl for decl in problem.theories.values() if decl.kind == "henson"
-    ]
-    if len(henson_theories) != 1:
+def _henson_context(problem: Problem) -> TheorySolver:
+    """The one theory of the file that forbids tournaments; every relational
+    atom must be one of its own."""
+    found = [s for s in problem.theories.values() if s.forbidden]
+    if len(found) != 1:
         raise ParseError("henson commands need exactly one henson theory")
-    return henson_theories[0]
+    tid = found[0].theory_id
+    for atom in problem.instance.atoms:
+        if atom.kind == REL and atom.symbol.theory_id != tid:
+            raise ParseError(
+                f"henson commands take only atoms of theory {tid}, "
+                f"not {atom.symbol.theory_id}.{atom.symbol.name}"
+            )
+    return found[0]
 
 
 def cmd_henson(args) -> int:
     try:
         problem = _load(args.file)
-        decl = _henson_context(problem)
+        solver = _henson_context(problem)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    tid = solver.theory_id
     if args.action == "reduce-up":
-        symbol = problem.symbols.get((decl.theory_id, "E"), RelationSymbol(decl.theory_id, "E", 2))
+        symbol = problem.symbols.get((tid, "E"), RelationSymbol(tid, "E", 2))
         enlarged = build_s_star(problem.instance, e_symbol=symbol)
-        out = Problem(problem.theories, problem.relations, problem.symbols, enlarged)
+        out = dataclasses.replace(problem, instance=enlarged)
         sys.stdout.write(render_problem(out))
         return EXIT_OK
     if args.action == "solve":
-        from .theories import henson_decide
-
-        result = henson_decide(problem.instance, decl.forbidden)
+        result = solver.decide(problem.instance)
     else:  # reduce-down
-        result = component_label_solve(problem.instance, decl.forbidden)
+        result = component_label_solve(problem.instance, solver.forbidden)
     print(result.verdict)
-    if args.witness and result.sat and result.witness is not None:
-        assignment = result.witness.assignment
+    if args.witness and result.sat:
+        assignment = witness_values(result.witness)
         for var in sorted(assignment):
-            print(f"model {decl.theory_id} {var} {assignment[var]}")
+            print(f"model {tid} {var} {assignment[var]}")
     return EXIT_OK
 
 

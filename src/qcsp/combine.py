@@ -32,13 +32,7 @@ from .formulas import (
     neq,
     split_by_signature,
 )
-from .theories import (
-    HensonWitness,
-    SolveResult,
-    TheorySolver,
-    solvers_for,
-    witness_values,
-)
+from .theories import SolveResult, TheorySolver, extend_witness, witness_values
 
 
 class ConvexityNotDeclared(ValueError):
@@ -96,14 +90,13 @@ class CombinedWitness:
 
 
 def combined_problem(problem: Problem) -> CombinedProblem:
-    solvers = solvers_for(problem)
     parts, shared = split_by_signature(problem.instance, problem.theories)
     return CombinedProblem(
         instance=problem.instance,
         parts=parts,
         shared=shared,
-        solvers=solvers,
-        convex_flags={tid: s.convex for tid, s in solvers.items()},
+        solvers=dict(problem.theories),
+        convex_flags={tid: s.convex for tid, s in problem.theories.items()},
     )
 
 
@@ -209,30 +202,6 @@ def _entailed_by_a_part(
     return False
 
 
-def _extend_witness(witness, var_map: dict[str, str]):
-    """Map a witness on collapsed representatives back to the original
-    variables.  Representatives whose every atom was an equality vanish from
-    the collapsed instance; they are unconstrained, so they get fresh values.
-    """
-    reps = sorted(set(var_map.values()))
-    if isinstance(witness, dict):
-        values = dict(witness)
-        fresh = max(values.values(), default=-1) + 1
-        for r in reps:
-            if r not in values:
-                values[r] = fresh
-                fresh += 1
-        return {v: values[r] for v, r in var_map.items()}
-    if isinstance(witness, HensonWitness):
-        assignment = dict(witness.assignment)
-        for r in reps:
-            if r not in assignment:
-                assignment[r] = f"n_{r}"
-        extended = {v: assignment[r] for v, r in var_map.items()}
-        return HensonWitness(extended, witness.arcs, witness.loop_vertex)
-    return witness
-
-
 def _sat(
     blocks: tuple[tuple[str, ...], ...],
     results: dict[str, SolveResult],
@@ -242,7 +211,7 @@ def _sat(
     witness = CombinedWitness(
         arrangement=blocks,
         part_witnesses={
-            tid: _extend_witness(results[tid].witness, contexts[tid][1])
+            tid: extend_witness(results[tid].witness, contexts[tid][1])
             for tid in results
         },
     )

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+if TYPE_CHECKING:
+    from .theories import TheorySolver
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -76,14 +79,8 @@ class Instance:
     def __len__(self):
         return len(self.atoms)
 
-    def rel_atoms(self) -> list[Atom]:
-        return [a for a in self.atoms if a.kind == REL]
-
     def eq_atoms(self) -> list[Atom]:
         return [a for a in self.atoms if a.kind == EQ]
-
-    def neq_atoms(self) -> list[Atom]:
-        return [a for a in self.atoms if a.kind == NEQ]
 
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self.atoms, key=Atom.sort_key)
@@ -95,9 +92,6 @@ def make_instance(atoms: Iterable[Atom]) -> Instance:
     for atom in atom_set:
         seen.update(atom.args)
     return Instance(atom_set, tuple(sorted(seen)))
-
-
-EMPTY_INSTANCE = make_instance(())
 
 
 class UnionFind:
@@ -200,17 +194,8 @@ class PPFormula:
 
 
 @dataclass(frozen=True)
-class TheoryDecl:
-    theory_id: str
-    kind: str  # equality | point_algebra | temporal | henson
-    convex: bool
-    forbidden: tuple = ()  # henson only: tuple of Digraph tournaments
-
-
-@dataclass(frozen=True)
 class Problem:
-    theories: dict[str, TheoryDecl]
-    relations: dict[tuple[str, str], "object"]  # (tid, name) -> TemporalRelation or arity marker
+    theories: dict[str, TheorySolver]
     symbols: dict[tuple[str, str], RelationSymbol]
     instance: Instance
 
@@ -261,14 +246,9 @@ def _parse_tournament(token: str, line_no: int):
 
 def parse_problem(text: str) -> Problem:
     """Parse the line-oriented instance file format into a resolved Problem."""
-    from .theories import (
-        TemporalRelation,
-        builtin_mi,
-        relation_for_name,
-    )
+    from .theories import KINDS, TemporalRelation, TheorySolver, builtin_mi
 
-    theories: dict[str, TheoryDecl] = {}
-    relations: dict[tuple[str, str], TemporalRelation] = {}
+    theories: dict[str, TheorySolver] = {}
     symbols: dict[tuple[str, str], RelationSymbol] = {}
     atoms: list[Atom] = []
 
@@ -279,7 +259,7 @@ def parse_problem(text: str) -> Problem:
             raise ParseError(f"duplicate relation declaration {tid}.{name}", line_no)
         symbols[key] = RelationSymbol(tid, name, arity)
         if semantics is not None:
-            relations[key] = semantics
+            theories[tid].relations[name] = semantics
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -292,44 +272,36 @@ def parse_problem(text: str) -> Problem:
             if len(tokens) < 3:
                 raise ParseError("theory line needs an id and a kind", line_no)
             tid = _check_ident(tokens[1], "theory id", line_no)
-            kind = tokens[2]
+            kind, tail = tokens[2], tokens[3:]
             if tid in theories:
                 raise ParseError(f"duplicate theory declaration {tid}", line_no)
-            if kind == "equality":
-                if len(tokens) != 3:
-                    raise ParseError("trailing tokens after equality theory", line_no)
-                theories[tid] = TheoryDecl(tid, kind, convex=True)
-            elif kind == "point_algebra":
-                if len(tokens) != 3:
-                    raise ParseError("trailing tokens after point_algebra theory", line_no)
-                theories[tid] = TheoryDecl(tid, kind, convex=True)
-                declare(tid, "lt", 2, line_no, relation_for_name("lt"))
-                declare(tid, "leq", 2, line_no, relation_for_name("leq"))
-            elif kind == "temporal":
-                # optional trailing "convex": convexity is a declared property
-                convex = False
-                if len(tokens) == 4 and tokens[3] == "convex":
-                    convex = True
-                elif len(tokens) != 3:
-                    raise ParseError("bad temporal theory declaration", line_no)
-                theories[tid] = TheoryDecl(tid, kind, convex=convex)
-            elif kind == "henson":
-                if len(tokens) < 5 or tokens[3] != "forbid":
+            record = KINDS.get(kind)
+            if record is None:
+                raise ParseError(f"unknown theory kind {kind!r}", line_no)
+            convex, forbidden = record.convex, ()
+            # grammar tails: a temporal theory may be declared convex, and a
+            # henson kind lists the tournaments it forbids
+            if kind == "temporal" and tail == ["convex"]:
+                convex, tail = True, []
+            elif kind in ("henson", "henson_b1"):
+                if tail[:1] != ["forbid"] or len(tail) < 2:
                     raise ParseError(
-                        "henson theory needs: forbid <tournament>[;<tournament>]", line_no
+                        f"{kind} theory needs: forbid <tournament>[;<tournament>]",
+                        line_no,
                     )
-                spec = " ".join(tokens[4:])
                 forbidden = tuple(
                     _parse_tournament(part.strip(), line_no)
-                    for part in spec.split(";")
+                    for part in " ".join(tail[1:]).split(";")
                     if part.strip()
                 )
                 if not forbidden:
-                    raise ParseError("henson theory forbids nothing", line_no)
-                theories[tid] = TheoryDecl(tid, kind, convex=False, forbidden=forbidden)
-                declare(tid, "E", 2, line_no)
-            else:
-                raise ParseError(f"unknown theory kind {kind!r}", line_no)
+                    raise ParseError(f"{kind} theory forbids nothing", line_no)
+                tail = []
+            if tail:
+                raise ParseError(f"trailing tokens after {kind} theory", line_no)
+            theories[tid] = TheorySolver(tid, kind, convex, {}, forbidden)
+            for name, arity in (record.relations or {}).items():
+                declare(tid, name, arity, line_no)
 
         elif head == "relation":
             if len(tokens) < 4:
@@ -337,8 +309,8 @@ def parse_problem(text: str) -> Problem:
             tid = tokens[1]
             if tid not in theories:
                 raise ParseError(f"undeclared theory {tid!r}", line_no)
-            if theories[tid].kind != "temporal":
-                raise ParseError("relation declarations are for temporal theories", line_no)
+            if KINDS[theories[tid].kind].relations is not None:
+                raise ParseError(f"theory {tid} fixes its relations", line_no)
             if "/" not in tokens[2]:
                 raise ParseError("relation needs a <name>/<arity> token", line_no)
             name, arity_s = tokens[2].rsplit("/", 1)
@@ -392,31 +364,31 @@ def parse_problem(text: str) -> Problem:
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    return Problem(theories, relations, symbols, make_instance(atoms))
+    return Problem(theories, symbols, make_instance(atoms))
 
 
 def render_problem(problem: Problem) -> str:
     """Canonical serializer; parse_problem(render_problem(p)) round-trips."""
+    from .theories import KINDS
+
     lines: list[str] = []
     for tid in sorted(problem.theories):
-        decl = problem.theories[tid]
-        if decl.kind == "henson":
-            parts = []
-            for tournament in decl.forbidden:
-                arcs = ",".join(f"{a}>{b}" for a, b in sorted(tournament.arcs))
-                parts.append(arcs)
-            lines.append(f"theory {tid} henson forbid {';'.join(parts)}")
-        elif decl.kind == "temporal" and decl.convex:
-            lines.append(f"theory {tid} temporal convex")
-        else:
-            lines.append(f"theory {tid} {decl.kind}")
-    for (tid, name), relation in sorted(problem.relations.items()):
-        if problem.theories[tid].kind != "temporal":
-            continue  # point-algebra relations are implicit
-        ots = ",".join(
-            "/".join(str(r) for r in ranks) for ranks in sorted(relation.allowed)
-        )
-        lines.append(f"relation {tid} {name}/{relation.arity} ordertypes {ots}")
+        solver = problem.theories[tid]
+        line = f"theory {tid} {solver.kind}"
+        if solver.forbidden:
+            tournaments = (
+                ",".join(f"{a}>{b}" for a, b in sorted(t.arcs)) for t in solver.forbidden
+            )
+            line += " forbid " + ";".join(tournaments)
+        elif solver.convex and not KINDS[solver.kind].convex:
+            line += " convex"
+        lines.append(line)
+    for tid in sorted(problem.theories):
+        for name, relation in sorted(problem.theories[tid].relations.items()):
+            ots = ",".join(
+                "/".join(str(r) for r in ranks) for ranks in sorted(relation.allowed)
+            )
+            lines.append(f"relation {tid} {name}/{relation.arity} ordertypes {ots}")
     for atom in problem.instance.sorted_atoms():
         if atom.kind == REL:
             lines.append(

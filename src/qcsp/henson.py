@@ -23,11 +23,11 @@ from .formulas import (
     neq,
 )
 from .theories import (
-    ContractViolation,
     Digraph,
     HensonWitness,
     SolveResult,
     WitnessCheckFailed,
+    check_relations,
     henson_decide,
 )
 
@@ -40,9 +40,7 @@ class HensonProblem:
     instance: Instance
 
     def __post_init__(self):
-        for atom in self.instance.atoms:
-            if atom.kind == REL and atom.symbol.name != "E":
-                raise ContractViolation("henson problems use only the E relation")
+        check_relations(self.instance, "henson")
 
 
 def fresh_loop_variable(inst: Instance) -> str:
@@ -80,9 +78,7 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     mapped to the loop vertex, so a disequality with both ends in labeled
     components is a contradiction; everything else is satisfiable.
     """
-    for atom in inst.atoms:
-        if atom.kind == REL and (atom.symbol.name != "E" or len(atom.args) != 2):
-            raise ContractViolation(f"unexpected relation {atom.symbol.name!r}")
+    check_relations(inst, "henson_b1")
     collapsed, var_map = collapse_equalities(inst)
     arcs = []
     neqs = []

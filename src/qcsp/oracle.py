@@ -122,10 +122,6 @@ class PartitionIterator:
         return tuple(tuple(items[i] for i in block) for block in index_blocks)
 
 
-def iter_variable_partitions(variables: tuple[str, ...]):
-    return PartitionIterator(variables)
-
-
 def _resolve(atom: Atom, relations: Mapping[str, object]):
     relation = None
     if relations:
@@ -174,7 +170,7 @@ def _brute_equality(inst: Instance, all_distinct: bool) -> SolveResult:
     if all_distinct:
         candidates: Iterable = [tuple((v,) for v in variables)]
     else:
-        candidates = iter_variable_partitions(variables)
+        candidates = PartitionIterator(variables)
     for blocks in candidates:
         block_of = {v: i for i, block in enumerate(blocks) for v in block}
         ok = True
@@ -258,7 +254,7 @@ def _brute_henson(
             return SolveResult(False)
         return SolveResult(True, witness)
 
-    for blocks in iter_variable_partitions(variables):
+    for blocks in PartitionIterator(variables):
         rep = {}
         for block in blocks:
             block_rep = min(block)
@@ -337,7 +333,7 @@ def superpose_bruteforce(problem, max_vars: int | None = None) -> SolveResult:
     eqs = [a.args for a in problem.instance.atoms if a.kind == EQ]
     neqs = [a.args for a in problem.instance.atoms if a.kind == NEQ]
 
-    for blocks in iter_variable_partitions(variables):
+    for blocks in PartitionIterator(variables):
         rep: dict[str, str] = {}
         for block in blocks:
             block_rep = min(block)

@@ -1,19 +1,21 @@
 """Per-theory decision procedures behind a uniform solver contract.
 
-Four theory kinds ship: equality (the pure-equality structure), point_algebra
-(the order relations lt/leq over a dense order), temporal (relations given
-extensionally as sets of allowed order types), and henson (digraphs omitting
-a fixed set of finite tournaments, plus a loop-vertex variant used by the
-reduction machinery).  Every solver returns a replayable witness on SAT,
-and with it the shared (dis)equalities it can read off its own fixpoint.
+``KINDS`` registers every theory kind: equality (the pure-equality
+structure), point_algebra (the order relations lt/leq over a dense order),
+temporal (relations given extensionally as sets of allowed order types),
+henson (digraphs omitting a fixed set of finite tournaments) and henson_b1
+(the same digraphs plus one loop vertex, used by the reduction machinery).
+Each record holds the relations the kind fixes, its decide and its witness
+replay.  Every decide returns a replayable witness on SAT, and with it the
+shared (dis)equalities it can read off its own fixpoint.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from functools import cache, lru_cache
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import _kernels
 from .formulas import (
@@ -116,6 +118,30 @@ def witness_values(witness) -> Mapping[str, object]:
     return witness or {}
 
 
+def extend_witness(witness, var_map: dict[str, str]):
+    """Map a witness on collapsed representatives back to the original
+    variables.  Representatives whose every atom was an equality vanish from
+    the collapsed instance; they are unconstrained, so they get fresh values.
+    """
+    reps = sorted(set(var_map.values()))
+    if isinstance(witness, dict):
+        values = dict(witness)
+        fresh = max(values.values(), default=-1) + 1
+        for r in reps:
+            if r not in values:
+                values[r] = fresh
+                fresh += 1
+        return {v: values[r] for v, r in var_map.items()}
+    if isinstance(witness, HensonWitness):
+        assignment = dict(witness.assignment)
+        for r in reps:
+            if r not in assignment:
+                assignment[r] = f"n_{r}"
+        extended = {v: assignment[r] for v, r in var_map.items()}
+        return HensonWitness(extended, witness.arcs, witness.loop_vertex)
+    return witness
+
+
 def _no_facts(x: str, y: str) -> str | None:
     return None
 
@@ -154,16 +180,10 @@ def relation_from_predicate(
     return TemporalRelation(arity, allowed)
 
 
-_MI_CACHE: list[TemporalRelation] = []
-
-
+@cache
 def builtin_mi() -> TemporalRelation:
     """The ternary relation holding when x >= y or x > z (ranks compare values)."""
-    if not _MI_CACHE:
-        _MI_CACHE.append(
-            relation_from_predicate(3, lambda w: w[0] >= w[1] or w[0] > w[2])
-        )
-    return _MI_CACHE[0]
+    return relation_from_predicate(3, lambda w: w[0] >= w[1] or w[0] > w[2])
 
 
 _BINARY_RELATIONS = {
@@ -201,9 +221,7 @@ def _partition_facts(
 def eq_decide(inst: Instance) -> SolveResult:
     """Equality theory over an infinite domain: UNSAT iff a disequality links
     one equality class to itself."""
-    for atom in inst.atoms:
-        if atom.kind == REL:
-            raise ContractViolation("equality solver got a relational atom")
+    check_relations(inst, "equality")
     uf = UnionFind(inst.variables)
     for atom in inst.atoms:
         if atom.kind == EQ:
@@ -234,11 +252,7 @@ def pa_decide(inst: Instance) -> SolveResult:
     Facts: one component entails equal.  Two components are entailed
     distinct when a disequality joins them or a path with a strict edge runs
     from one to the other."""
-    for atom in inst.atoms:
-        if atom.kind == REL and atom.symbol.name not in ("lt", "leq"):
-            raise ContractViolation(
-                f"point algebra solver got relation {atom.symbol.name!r}"
-            )
+    check_relations(inst, "point_algebra")
     uf = UnionFind(inst.variables)
     for atom in inst.atoms:
         if atom.kind == EQ:
@@ -530,11 +544,7 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     loop, a digon, or an embedded forbidden tournament.  Facts: variables
     collapsed onto one vertex are equal; the ends of an arc, in either
     direction, and of a disequality are distinct."""
-    for atom in inst.atoms:
-        if atom.kind == REL and (atom.symbol.name != "E" or len(atom.args) != 2):
-            raise ContractViolation(
-                f"henson solver got relation {atom.symbol.name!r}"
-            )
+    check_relations(inst, "henson")
     collapsed, var_map = collapse_equalities(inst)
     arcs: set[tuple[str, str]] = set()
     neqs: set[tuple[str, str]] = set()
@@ -559,26 +569,87 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     return SolveResult(True, witness, _partition_facts(var_map, neqs, arcs))
 
 
+def check_value_witness(
+    solver: TheorySolver, inst: Instance, values: Mapping[str, int]
+) -> bool:
+    """Replay an integer-valued witness (blocks or ranks) against every atom."""
+    if not isinstance(values, Mapping):
+        return False
+    fixed = KINDS[solver.kind].relations
+    for atom in inst.atoms:
+        if any(v not in values for v in atom.args):
+            return False
+        if atom.kind == EQ:
+            if values[atom.args[0]] != values[atom.args[1]]:
+                return False
+        elif atom.kind == NEQ:
+            if values[atom.args[0]] == values[atom.args[1]]:
+                return False
+        else:
+            name = atom.symbol.name
+            if fixed is not None and name not in fixed:
+                return False
+            relation = solver.relations.get(name) or relation_for_name(name)
+            if relation is None:
+                return False
+            if canonical_ranks(tuple(values[v] for v in atom.args)) not in relation.allowed:
+                return False
+    return True
+
+
+def check_henson_witness(forbidden, inst: Instance, witness: HensonWitness) -> bool:
+    """Replay a digraph witness: atoms hold under the assignment, the loop
+    vertex (when present) is isolated from the rest, and the loopless part
+    omits every forbidden tournament."""
+    if not isinstance(witness, HensonWitness):
+        return False
+    assignment = witness.assignment
+    loop = witness.loop_vertex
+    for atom in inst.atoms:
+        if any(v not in assignment for v in atom.args):
+            return False
+        if atom.kind == EQ:
+            if assignment[atom.args[0]] != assignment[atom.args[1]]:
+                return False
+        elif atom.kind == NEQ:
+            if assignment[atom.args[0]] == assignment[atom.args[1]]:
+                return False
+        else:
+            a, b = assignment[atom.args[0]], assignment[atom.args[1]]
+            if a == loop and b == loop:
+                continue  # the loop vertex carries its own edge
+            if a == loop or b == loop:
+                return False
+            if (a, b) not in witness.arcs:
+                return False
+    vertices = tuple(sorted({v for arc in witness.arcs for v in arc}))
+    for a, b in witness.arcs:
+        if a == loop or b == loop or a == b:
+            return False
+        if (b, a) in witness.arcs:
+            return False
+    prepared = prepare_tournaments(forbidden)
+    return arcs_admissible(vertices, set(witness.arcs), prepared)
+
+
 @dataclass(frozen=True)
 class TheorySolver:
-    """Uniform front for one theory's decision procedure."""
+    """One declared theory: its kind, read from ``KINDS``, supplies the
+    decide; ``relations`` holds the relations a temporal theory declares and
+    ``forbidden`` the tournaments a henson theory omits."""
 
     theory_id: str
-    kind: str  # equality | point_algebra | temporal | henson
+    kind: str
     convex: bool
     relations: Mapping[str, TemporalRelation] = field(default_factory=dict)
     forbidden: tuple[Digraph, ...] = ()
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown theory kind {self.kind!r}")
+
     def decide(self, inst: Instance) -> SolveResult:
-        if self.kind == "equality":
-            return eq_decide(inst)
-        if self.kind == "point_algebra":
-            return pa_decide(inst)
-        if self.kind == "temporal":
-            return temporal_decide(inst, self.relations)
-        if self.kind == "henson":
-            return henson_decide(inst, self.forbidden)
-        raise ValueError(f"unknown theory kind {self.kind!r}")
+        return KINDS[self.kind].decide(self, inst)
 
     def entails_eq(
         self, inst: Instance, x: str, y: str, counter_models: list | None = None
@@ -595,20 +666,48 @@ class TheorySolver:
         return not result.sat
 
 
-def solvers_for(problem) -> dict[str, TheorySolver]:
-    """Instantiate one solver per declared theory of a parsed problem."""
-    solvers: dict[str, TheorySolver] = {}
-    for tid, decl in problem.theories.items():
-        relations = {
-            name: relation
-            for (rel_tid, name), relation in problem.relations.items()
-            if rel_tid == tid
-        }
-        solvers[tid] = TheorySolver(
-            theory_id=tid,
-            kind=decl.kind,
-            convex=decl.convex,
-            relations=relations,
-            forbidden=decl.forbidden,
-        )
-    return solvers
+def _b1_decide(solver: TheorySolver, inst: Instance) -> SolveResult:
+    from .henson import component_label_solve  # henson imports this module
+
+    return component_label_solve(inst, solver.forbidden)
+
+
+class Kind(NamedTuple):
+    """What a theory kind is: the relations it fixes, name to arity (None
+    when each theory declares its own), its decide, its witness replay and
+    the convex flag a declaration of it carries unless it says otherwise."""
+
+    relations: Mapping[str, int] | None
+    decide: Callable[[TheorySolver, Instance], SolveResult]
+    replay: Callable[[TheorySolver, Instance, object], bool]
+    convex: bool
+
+
+def _replay_henson(solver: TheorySolver, inst: Instance, witness) -> bool:
+    return check_henson_witness(solver.forbidden, inst, witness)
+
+
+KINDS: dict[str, Kind] = {
+    "equality": Kind({}, lambda s, inst: eq_decide(inst), check_value_witness, True),
+    "point_algebra": Kind(
+        {"lt": 2, "leq": 2}, lambda s, inst: pa_decide(inst), check_value_witness, True
+    ),
+    "temporal": Kind(
+        None, lambda s, inst: temporal_decide(inst, s.relations), check_value_witness, False
+    ),
+    "henson": Kind(
+        {"E": 2}, lambda s, inst: henson_decide(inst, s.forbidden), _replay_henson, False
+    ),
+    "henson_b1": Kind({"E": 2}, _b1_decide, _replay_henson, False),
+}
+
+
+def check_relations(inst: Instance, kind: str) -> None:
+    """Raise ContractViolation unless every relational atom uses a relation
+    the kind fixes, with its arity."""
+    fixed = KINDS[kind].relations
+    for atom in inst.atoms:
+        if atom.kind == REL and fixed.get(atom.symbol.name) != len(atom.args):
+            raise ContractViolation(
+                f"{kind} solver got relation {atom.symbol.name!r}/{len(atom.args)}"
+            )

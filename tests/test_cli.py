@@ -79,8 +79,8 @@ def _replay_witness(problem, out: str) -> bool:
             values = models[tid]
             kind = problem.theories[tid].kind
             if kind in ("point_algebra", "temporal"):
-                relation = problem.relations.get(
-                    (tid, atom.symbol.name)
+                relation = problem.theories[tid].relations.get(
+                    atom.symbol.name
                 ) or relation_for_name(atom.symbol.name)
                 ranks = tuple(int(values[v]) for v in atom.args)
                 if canonical_ranks(ranks) not in relation.allowed:

@@ -72,7 +72,7 @@ def test_parse_mi_builtin_has_nine_order_types():
     problem = parse_problem(
         "theory t1 temporal\nrelation t1 mi/3 builtin mi\natom t1 mi x y z\n"
     )
-    relation = problem.relations[("t1", "mi")]
+    relation = problem.theories["t1"].relations["mi"]
     assert relation.arity == 3
     assert len(relation.allowed) == 9
 

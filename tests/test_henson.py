@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from qcsp.combine import CombinedProblem
+from qcsp.combine import CombinedProblem, solve_complete
 from qcsp.formulas import (
     RelationSymbol,
     eq,
@@ -191,7 +191,7 @@ def test_component_label_matches_superposition_exhaustive_three():
                 problem = _b1_combined(instance_atoms)
                 left = component_label_solve(problem.instance, (C3,)).sat
                 right = superpose_bruteforce(problem).sat
-                assert left == right
+                assert left == right == solve_complete(problem).sat
 
 
 def test_component_label_matches_superposition_sampled():
@@ -207,4 +207,4 @@ def test_component_label_matches_superposition_sampled():
             problem = _b1_combined(atoms)
             left = component_label_solve(problem.instance, (C3,)).sat
             right = superpose_bruteforce(problem).sat
-            assert left == right
+            assert left == right == solve_complete(problem).sat

@@ -14,9 +14,11 @@ from qcsp.checking import (
     check_part_witness,
     check_value_witness,
 )
+from qcsp.analysis import probe_relations
 from qcsp.formulas import EQ, NEQ, RelationSymbol, eq, make_instance, neq, rel
 from qcsp.oracle import brute_decide_theory
 from qcsp.theories import (
+    KINDS,
     ContractViolation,
     Digraph,
     TheorySolver,
@@ -390,3 +392,61 @@ def test_reported_facts_are_entailed(kind, monkeypatch):
             found[fact] = found.get(fact, 0) + 1
         assert result.facts("a", "unknown") is None
     assert found[EQ] > 0 and found[NEQ] > 0
+
+
+# The registry of theory kinds: one small SAT instance per kind
+KIND_SOLVERS = {
+    "equality": TheorySolver("t1", "equality", True),
+    "point_algebra": TheorySolver("t1", "point_algebra", True),
+    "temporal": TheorySolver("t1", "temporal", False, relations=MI_RELS),
+    "henson": TheorySolver("t1", "henson", False, forbidden=(C3,)),
+    "henson_b1": TheorySolver("t1", "henson_b1", False, forbidden=(C3,)),
+}
+KIND_SAT_INSTANCES = {
+    "equality": make_instance([eq("x", "y"), neq("y", "z")]),
+    "point_algebra": make_instance([rel(LT, "x", "y"), rel(LEQ, "y", "z")]),
+    "temporal": make_instance([rel(MI, "x", "y", "z"), neq("x", "y")]),
+    "henson": make_instance([rel(E, "x", "y"), rel(E, "y", "z"), neq("x", "z")]),
+    "henson_b1": make_instance(
+        [rel(E, "x", "x"), rel(E, "y", "z"), neq("x", "y"), neq("x", "z")]
+    ),
+}
+
+
+def test_every_registered_kind_has_a_solver_case():
+    assert set(KINDS) == set(KIND_SOLVERS) == set(KIND_SAT_INSTANCES)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SOLVERS))
+def test_registered_kind_decides_and_replays(kind):
+    solver = KIND_SOLVERS[kind]
+    inst = KIND_SAT_INSTANCES[kind]
+    result = solver.decide(inst)
+    assert result.sat
+    assert check_part_witness(solver, inst, result.witness)
+    assert brute_decide_theory(
+        kind, inst, relations=solver.relations, forbidden=solver.forbidden
+    ).sat
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SOLVERS))
+def test_probe_relations_read_the_registry(kind):
+    solver = KIND_SOLVERS[kind]
+    fixed = KINDS[kind].relations
+    if fixed is None:  # declared per theory
+        fixed = {name: r.arity for name, r in solver.relations.items()}
+    assert probe_relations(solver) == sorted(fixed.items())
+
+
+def test_unknown_kind_fails_at_construction():
+    with pytest.raises(ValueError, match="nope"):
+        TheorySolver("t1", "nope", True)
+
+
+@pytest.mark.parametrize("kind", ["equality", "point_algebra", "henson", "henson_b1"])
+def test_fixed_relation_kinds_reject_other_relations(kind):
+    other = RelationSymbol("t1", "prec", 2)
+    inst = make_instance([rel(other, "x", "y")])
+    with pytest.raises(ContractViolation):
+        KIND_SOLVERS[kind].decide(inst)
+    assert not check_part_witness(KIND_SOLVERS[kind], inst, {"x": 0, "y": 1})
