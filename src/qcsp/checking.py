@@ -8,6 +8,8 @@ names the replay of its part witnesses; this module replays combined ones.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .formulas import Instance
 # the part replays live with the kinds; they are re-exported from here
 from .theories import (
@@ -25,8 +27,10 @@ def check_part_witness(solver: TheorySolver, inst: Instance, witness) -> bool:
 
 def check_combined_witness(problem, result) -> bool:
     """Replay a combined witness: each part's atoms against its own witness,
-    and each part's values realize the arrangement exactly on the shared
-    variables (equal inside a block, distinct across blocks)."""
+    and each part's values realize the arrangement exactly on every variable
+    that two part witnesses both cover (equal inside a block, distinct across
+    blocks).  Those variables are found from the witnesses, not read from
+    ``problem.shared``, so an arrangement that leaves one out fails."""
     if not result.sat:
         return False
     witness = result.witness
@@ -34,16 +38,21 @@ def check_combined_witness(problem, result) -> bool:
     for index, block in enumerate(witness.arrangement):
         for v in block:
             block_of[v] = index
+    part_values = []
     for tid, part in problem.parts.items():
         part_witness = witness.part_witnesses[tid]
         if not check_part_witness(problem.solvers[tid], part, part_witness):
             return False
-        values = witness_values(part_witness)
-        shared_here = [v for v in problem.shared if v in values]
-        for i in range(len(shared_here)):
-            for j in range(i + 1, len(shared_here)):
-                u, v = shared_here[i], shared_here[j]
-                same_block = block_of.get(u) == block_of.get(v)
-                if same_block != (values[u] == values[v]):
+        part_values.append(witness_values(part_witness))
+    covered = Counter(v for values in part_values for v in values)
+    common = sorted(v for v, n in covered.items() if n >= 2)
+    if any(v not in block_of for v in common):
+        return False
+    for values in part_values:
+        here = [v for v in common if v in values]
+        for i in range(len(here)):
+            for j in range(i + 1, len(here)):
+                u, v = here[i], here[j]
+                if (block_of[u] == block_of[v]) != (values[u] == values[v]):
                     return False
     return True

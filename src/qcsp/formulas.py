@@ -152,12 +152,12 @@ def split_by_signature(
     inst: Instance, theory_ids: Iterable[str]
 ) -> tuple[dict[str, Instance], frozenset[str]]:
     """Route Rel atoms to their theory's part and copy Eq/Neq atoms into every
-    part.  Shared variables are those occurring in Rel atoms of at least two
-    distinct theories."""
+    part.  Shared variables are those occurring in the parts of at least two
+    distinct theories, so a variable that reaches a theory only through an
+    Eq/Neq atom is shared too (Nelson & Oppen 1979)."""
     theory_ids = list(theory_ids)
     neutral = [a for a in inst.atoms if a.kind != REL]
     by_theory: dict[str, list[Atom]] = {tid: [] for tid in theory_ids}
-    occurs: dict[str, set[str]] = {}
     for atom in inst.atoms:
         if atom.kind != REL:
             continue
@@ -165,13 +165,15 @@ def split_by_signature(
         if tid not in by_theory:
             raise ValueError(f"atom references undeclared theory {tid!r}")
         by_theory[tid].append(atom)
-        for v in atom.args:
-            occurs.setdefault(v, set()).add(tid)
     parts = {
         tid: make_instance(by_theory[tid] + neutral) for tid in theory_ids
     }
-    shared = frozenset(v for v, tids in occurs.items() if len(tids) >= 2)
-    return parts, shared
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for part in parts.values():
+        shared.update(seen.intersection(part.variables))
+        seen.update(part.variables)
+    return parts, frozenset(shared)
 
 
 @dataclass(frozen=True)

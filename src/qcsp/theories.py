@@ -693,7 +693,10 @@ KINDS: dict[str, Kind] = {
         {"lt": 2, "leq": 2}, lambda s, inst: pa_decide(inst), check_value_witness, True
     ),
     "temporal": Kind(
-        None, lambda s, inst: temporal_decide(inst, s.relations), check_value_witness, False
+        None,
+        lambda s, inst: temporal_decide(inst, s.relations),
+        check_value_witness,
+        False,
     ),
     "henson": Kind(
         {"E": 2}, lambda s, inst: henson_decide(inst, s.forbidden), _replay_henson, False

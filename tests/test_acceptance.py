@@ -443,12 +443,12 @@ def _witness_digest(solve, corpus) -> str:
 
 # solve_complete on the criterion 8 corpus
 COMPLETE_WITNESS_DIGEST = (
-    "7c17278c55be470f210fdf3f4826b55b56c7b5aa06f0f9085a06132f4e3a5eab"
+    "1b6efdf566c5e1c716a8f0a0c71b8ddd22525ac0530cbada25f4a82cbf2fc4bf"
 )
 # solve_convex on the criterion 2 corpus: the exhaustive sweep, then the
 # random instances
 CONVEX_WITNESS_DIGEST = (
-    "e3cc1673d808df69aa5b03aae19e67f670fb1c774221b8a6746fd64dc8aa1ed1"
+    "aaacd1747b3b579fb377f47acdc95ceb3ed177e5806f456056e8870bab2e61b4"
 )
 
 

@@ -199,6 +199,25 @@ def test_henson_subcommands(capsys):
     )
 
 
+@pytest.mark.parametrize("action", ["solve", "reduce-up", "reduce-down"])
+def test_henson_commands_reject_atoms_of_other_theories(action, capsys):
+    code, out, err = run_cli(
+        "henson", action, str(FIXTURES / "henson_mixed.qcsp"), capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "t2.lt" in err
+
+
+@pytest.mark.parametrize("name", ["pa_eq_link_unsat.qcsp", "pa_neq_link_unsat.qcsp"])
+def test_solve_agrees_with_oracle_across_eq_neq_links(name, capsys):
+    code, out, _ = run_cli("oracle", str(FIXTURES / name), capsys=capsys)
+    assert code == 0 and out == "UNSAT\n"
+    for mode in ("auto", "complete", "convex"):
+        code, out, _ = run_cli("solve", str(FIXTURES / name), "--mode", mode, capsys=capsys)
+        assert code == 0 and out == "UNSAT\n"
+
+
 def test_henson_reduce_down_witness(capsys):
     code, out, _ = run_cli(
         "henson", "reduce-down", str(FIXTURES / "henson_c3.qcsp"), "--witness",

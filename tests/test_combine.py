@@ -1,5 +1,6 @@
 """Combination engine: propagation, both solve modes, and oracle agreement."""
 
+import dataclasses
 import pathlib
 import random
 import sys
@@ -634,3 +635,26 @@ def test_counter_models_cut_entailment_tests(monkeypatch):
     assert kept == single and kept.sat
     assert check_combined_witness(problem, kept)
     assert calls[True] < calls[False]
+
+
+LINK_FIXTURES = ["pa_eq_link_unsat.qcsp", "pa_neq_link_unsat.qcsp"]
+
+
+@pytest.mark.parametrize("name", LINK_FIXTURES)
+def test_variables_linked_only_by_eq_or_neq_are_shared(name):
+    problem = combined_problem(parse_problem((FIXTURES / name).read_text()))
+    assert problem.shared == frozenset(problem.instance.variables)
+    assert not superpose_bruteforce(problem).sat
+    for solve in (solve_auto, solve_complete, solve_convex):
+        assert not solve(problem).sat
+
+
+@pytest.mark.parametrize("name", LINK_FIXTURES)
+def test_replay_finds_the_variables_two_witnesses_cover(name):
+    # with the linking variables left out of the shared set, each part is
+    # decided alone and the search accepts; the replay must still refuse
+    problem = combined_problem(parse_problem((FIXTURES / name).read_text()))
+    blind = dataclasses.replace(problem, shared=frozenset())
+    result = solve_complete(blind)
+    assert result.sat
+    assert not check_combined_witness(blind, result)
