@@ -10,7 +10,6 @@ SAT witness ``solve`` makes before it prints; no verdict is printed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .analysis import probe_convexity, check_cross_prevention
@@ -202,7 +201,7 @@ def cmd_henson(args) -> int:
     if args.action == "reduce-up":
         symbol = problem.symbols.get((tid, "E"), RelationSymbol(tid, "E", 2))
         enlarged = build_s_star(problem.instance, e_symbol=symbol)
-        out = dataclasses.replace(problem, instance=enlarged)
+        out = Problem(problem.theories, problem.symbols, enlarged)
         sys.stdout.write(render_problem(out))
         return EXIT_OK
     if args.action == "solve":
