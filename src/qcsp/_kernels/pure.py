@@ -1,4 +1,4 @@
-"""Pure-Python kernels for the hot solver loops.
+"""The kernels for the hot solver loops, in pure Python.
 
 Pair statuses are bitmasks over {1: <, 2: =, 4: >} for ordered variable
 pairs, held in a flat n*n byte table with table[j*n+i] the flip of
@@ -8,11 +8,8 @@ for every atom, driven by a worklist of changed pairs, and then branches.
 On request it also hands back the fixpoint reached at the root: a status
 left at exactly ``=`` is entailed equal, one without ``=`` entailed
 distinct, since propagation removes only statuses that no solution has.
-
-The compiled twin in ``_speed.pyx`` propagates more weakly (it composes only
-definite statuses and re-sweeps every triple) and returns no root state, but
-both return the solution that is least in the fixed pair order, so their
-results are identical.
+The search returns the solution that is least in the fixed pair order, so
+its result, witness included, is deterministic.
 """
 
 from __future__ import annotations

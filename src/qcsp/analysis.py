@@ -150,6 +150,12 @@ def probe_convexity(
                         return _verified_witness(solver, instance, hit)
         return None
     if mode == "random":
+        if count < 1:
+            raise ValueError(f"random probe needs count >= 1, got {count}")
+        if max_vars < 2:
+            raise ValueError(f"random probe needs max_vars >= 2, got {max_vars}")
+        if max_atoms < 1:
+            raise ValueError(f"random probe needs max_atoms >= 1, got {max_atoms}")
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(2, max_vars)

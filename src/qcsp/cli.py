@@ -46,7 +46,7 @@ def _load(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc))
     return parse_problem(text)
 

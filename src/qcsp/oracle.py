@@ -3,8 +3,12 @@
 Everything here enumerates finite candidate models directly: weak orders for
 the order theories, set partitions for equality patterns, and loop-vertex /
 digraph candidates for the henson theories.  The solvers in qcsp.theories and
-qcsp.combine are validated against these enumerations; nothing in this module
-shares search code with them, and it stays pure Python by design.
+qcsp.combine are validated against these enumerations.  One kernel is shared
+with them: the henson branch prepares its forbidden tournaments with
+``theories.prepare_tournaments`` and tests a candidate with
+``_kernels.find_induced_embedding``.  That kernel is checked on its own
+against a brute-force reference in
+``tests/test_kernels.py::test_induced_embedding_matches_brute_force``.
 """
 
 from __future__ import annotations

@@ -54,6 +54,22 @@ def test_solve_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, options", [
+    (["solve"], []),
+    (["oracle"], []),
+    (["probe-convexity"], ["--max-vars", "2", "--max-atoms", "1", "--exhaustive"]),
+    (["cross-check"], ["--free", "x,y,u,v"]),
+    (["henson", "solve"], []),
+])
+def test_file_that_is_not_utf8_is_a_parse_error(command, options, tmp_path, capsys):
+    path = tmp_path / "bad.qcsp"
+    path.write_bytes(b"theory t1 equality\n\xff eq a b\n")
+    code, out, err = run_cli(*command, str(path), *options, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "parse error:" in err
+
+
 def test_first_line_is_verdict_everywhere(capsys):
     for name in ["pa_eq_unsat.qcsp", "mi_nonconvex.qcsp", "mi_sat.qcsp",
                  "pa_pair_sat.qcsp", "empty.qcsp"]:
@@ -252,6 +268,22 @@ def test_probe_command_small(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "none"
+
+
+@pytest.mark.parametrize("count, max_vars, max_atoms, limit", [
+    ("0", "3", "3", "count >= 1"),
+    ("-2", "3", "3", "count >= 1"),
+    ("10", "1", "3", "max_vars >= 2"),
+    ("10", "3", "0", "max_atoms >= 1"),
+])
+def test_probe_random_mode_rejects_bad_limits(count, max_vars, max_atoms, limit, capsys):
+    code, out, err = run_cli(
+        "probe-convexity", str(FIXTURES / "temporal_sig.qcsp"), "--random", count,
+        "--max-vars", max_vars, "--max-atoms", max_atoms, capsys=capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert limit in err
 
 
 def test_unknown_flag_is_an_error():

@@ -292,11 +292,11 @@ def _count_nodes(monkeypatch) -> list:
 
 
 def test_search_depth_does_not_grow_with_decided_pairs(monkeypatch):
-    # a temporal lt chain on a kernel that hands back no root state, as the
-    # compiled twin does, reports no entailed disequality: every pair is
-    # decided by branching, and the equal branch fails.  10 shared variables
-    # give 45 decided pairs; a search that recursed once per pair would pass
-    # a limit only 40 frames above the caller
+    # a temporal lt chain on a kernel stub that hands back no root state
+    # reports no entailed disequality: every pair is decided by branching,
+    # and the equal branch fails.  10 shared variables give 45 decided
+    # pairs; a search that recursed once per pair would pass a limit only 40
+    # frames above the caller
     monkeypatch.setattr(
         _kernels,
         "temporal_search",
