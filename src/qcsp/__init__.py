@@ -30,7 +30,6 @@ from .theories import (
     SolveResult,
     TemporalRelation,
     TheorySolver,
-    TournamentSet,
     WitnessCheckFailed,
     builtin_mi,
     eq_decide,
@@ -40,7 +39,6 @@ from .theories import (
     temporal_decide,
 )
 from .combine import (
-    Arrangement,
     CombinedProblem,
     CombinedWitness,
     ConvexityFlagFalse,
@@ -65,6 +63,6 @@ from .analysis import (
     check_cross_prevention,
     probe_convexity,
 )
-from .henson import HensonProblem, build_s_star, component_label_solve
+from .henson import build_s_star, component_label_solve
 
 __version__ = "0.1.0"

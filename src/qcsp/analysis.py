@@ -124,6 +124,10 @@ def probe_convexity(
     lexicographic order, then disequality pair choices lexicographically, so
     the first witness is reproducible.
     """
+    if max_vars < 2:
+        raise ValueError(f"probe needs max_vars >= 2, got {max_vars}")
+    if max_atoms < 1:
+        raise ValueError(f"probe needs max_atoms >= 1, got {max_atoms}")
     if relations is None:
         relations = probe_relations(solver)
     if mode == "exhaustive":
@@ -152,10 +156,10 @@ def probe_convexity(
     if mode == "random":
         if count < 1:
             raise ValueError(f"random probe needs count >= 1, got {count}")
-        if max_vars < 2:
-            raise ValueError(f"random probe needs max_vars >= 2, got {max_vars}")
-        if max_atoms < 1:
-            raise ValueError(f"random probe needs max_atoms >= 1, got {max_atoms}")
+        if max_vars > len(_VAR_NAMES):
+            raise ValueError(
+                f"random probe needs max_vars <= {len(_VAR_NAMES)}, got {max_vars}"
+            )
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(2, max_vars)

@@ -23,6 +23,7 @@ from .combine import (
     solve_convex,
 )
 from .formulas import (
+    IDENT_RE,
     PPFormula,
     ParseError,
     Problem,
@@ -153,16 +154,25 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _free_variables(text: str) -> tuple[str, ...]:
+    """The free variables x,y,u,v of a cross-check: four distinct names that
+    follow the instance format's identifier rule."""
+    free = tuple(name.strip() for name in text.split(","))
+    for name in free:
+        if not IDENT_RE.match(name):
+            raise ParseError(f"invalid free variable {name!r}")
+    if len(free) != 4 or len(set(free)) != 4:
+        raise ParseError("cross-check needs four distinct free variables x,y,u,v")
+    return free
+
+
 def cmd_cross(args) -> int:
     try:
         problem = _load(args.file)
         solver = _single_solver(problem)
+        free = _free_variables(args.free)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    free = tuple(name.strip() for name in args.free.split(","))
-    if len(free) != 4:
-        print("cross-check needs exactly four free variables", file=sys.stderr)
         return EXIT_PARSE
     existential = frozenset(set(problem.instance.variables) - set(free))
     formula = PPFormula(free, existential, problem.instance.atoms)

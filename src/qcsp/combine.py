@@ -32,7 +32,7 @@ from .formulas import (
     neq,
     split_by_signature,
 )
-from .theories import SolveResult, TheorySolver, extend_witness, witness_values
+from .theories import SolveResult, TheorySolver, witness_values
 
 
 class ConvexityNotDeclared(ValueError):
@@ -44,43 +44,11 @@ class ConvexityFlagFalse(ConvexityNotDeclared):
 
 
 @dataclass(frozen=True)
-class Arrangement:
-    """A partition of the shared variables; blocks induce equalities inside
-    and disequalities across."""
-
-    partition: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for block in self.partition:
-            if not block:
-                raise ValueError("empty arrangement block")
-            for v in block:
-                if v in seen:
-                    raise ValueError(f"variable {v!r} in two blocks")
-                seen.add(v)
-
-    def induced_atoms(self) -> list[Atom]:
-        atoms: list[Atom] = []
-        for block in self.partition:
-            members = sorted(block)
-            for i in range(len(members) - 1):
-                atoms.append(eq(members[i], members[i + 1]))
-        for bi, block_a in enumerate(self.partition):
-            for block_b in self.partition[bi + 1 :]:
-                for u in block_a:
-                    for v in block_b:
-                        atoms.append(neq(u, v))
-        return atoms
-
-
-@dataclass(frozen=True)
 class CombinedProblem:
     instance: Instance
     parts: dict[str, Instance]
     shared: frozenset[str]
     solvers: dict[str, TheorySolver]
-    convex_flags: dict[str, bool]
 
 
 @dataclass(frozen=True)
@@ -96,7 +64,6 @@ def combined_problem(problem: Problem) -> CombinedProblem:
         parts=parts,
         shared=shared,
         solvers=dict(problem.theories),
-        convex_flags={tid: s.convex for tid, s in problem.theories.items()},
     )
 
 
@@ -129,16 +96,17 @@ def propagate_step(
 
 
 class _Context(NamedTuple):
-    """A part under a node's decisions: its collapsed instance, the collapse
-    map, the values of the witness the part was decided with, the models of
-    the part known at this node (that witness first, then every
-    counter-model an entailment test returned) and the facts its decide
-    reported (values and models empty when the part rejected the node).
-    Models are never carried to another node or round: a later node or
-    round adds atoms, which a kept model need not satisfy."""
+    """A part under a node's decisions: its instance (the part's atoms plus
+    the node's equalities and disequalities), the values of the witness the
+    part was decided with, the models of the part known at this node (that
+    witness first, then every counter-model an entailment test returned) and
+    the facts its decide reported (values and models empty when the part
+    rejected the node).  The decide rewrites the equalities itself, so every
+    name is the variable's own.  Models are never carried to another node or
+    round: a later node or round adds atoms, which a kept model need not
+    satisfy."""
 
-    collapsed: Instance
-    var_map: dict[str, str]
+    instance: Instance
     values: Mapping[str, object]
     models: list[object]
     facts: Callable[[str, str], str | None]
@@ -149,7 +117,8 @@ def _decide_parts(
     merges: Iterable[Atom],
     distinct_pairs: Iterable[tuple[str, str]],
 ) -> tuple[bool, dict[str, SolveResult], dict[str, _Context]]:
-    """Decide every part under the given equality/disequality decisions."""
+    """Decide every part under the given equality/disequality decisions;
+    each part's decide sees the decisions as plain atoms."""
     results: dict[str, SolveResult] = {}
     contexts: dict[str, _Context] = {}
     merge_atoms = set(merges)
@@ -157,12 +126,11 @@ def _decide_parts(
     for tid in sorted(problem.parts):
         part = problem.parts[tid]
         merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
-        collapsed, var_map = collapse_equalities(merged)
-        result = problem.solvers[tid].decide(collapsed)
+        result = problem.solvers[tid].decide(merged)
         results[tid] = result
         models = [result.witness] if result.sat else []
         contexts[tid] = _Context(
-            collapsed, var_map, witness_values(result.witness), models, result.facts
+            merged, witness_values(result.witness), models, result.facts
         )
         if not result.sat:
             return False, results, contexts
@@ -179,41 +147,36 @@ def _entailed_by_a_part(
     tested, and a test that answers no adds its counter-model to the part's
     models.  A pair the part's decide reported equal needs no test; the
     report is read only after the models agree, since that check is cheaper
-    and rules out most pairs.  A variable the witness lacks occurs in no
-    atom of the part; every theory has infinite models (an isolated fresh
-    vertex stays in a henson age), so that variable can differ from all
-    others and the part cannot entail the equality.
+    and rules out most pairs; a pair the part's own ``eq`` atoms join is
+    reported equal.  A variable the witness lacks occurs in no atom of the
+    part; every theory has infinite models (an isolated fresh vertex stays
+    in a henson age), so that variable can differ from all others and the
+    part cannot entail the equality.
     """
     for tid in sorted(problem.parts):
-        collapsed, var_map, values, models, facts = contexts[tid]
-        cu, cv = var_map.get(u, u), var_map.get(v, v)
-        if cu == cv or cu not in values or cv not in values:
+        instance, values, models, facts = contexts[tid]
+        if u not in values or v not in values:
             continue
         # the decided witness alone rules out most pairs; scan the
         # counter-models only when it agrees
-        if values[cu] != values[cv] or any(
-            m[cu] != m[cv] for m in map(witness_values, models[1:])
+        if values[u] != values[v] or any(
+            m[u] != m[v] for m in map(witness_values, models[1:])
         ):
             continue
-        if facts(cu, cv) == EQ or problem.solvers[tid].entails_eq(
-            collapsed, cu, cv, models
+        if facts(u, v) == EQ or problem.solvers[tid].entails_eq(
+            instance, u, v, models
         ):
             return True
     return False
 
 
 def _sat(
-    blocks: tuple[tuple[str, ...], ...],
-    results: dict[str, SolveResult],
-    contexts: dict[str, _Context],
+    blocks: tuple[tuple[str, ...], ...], results: dict[str, SolveResult]
 ) -> SolveResult:
-    """A SAT result whose part witnesses cover the original variables."""
+    """A SAT result holding each part witness as its decide returned it."""
     witness = CombinedWitness(
         arrangement=blocks,
-        part_witnesses={
-            tid: extend_witness(results[tid].witness, contexts[tid][1])
-            for tid in results
-        },
+        part_witnesses={tid: result.witness for tid, result in results.items()},
     )
     return SolveResult(True, witness)
 
@@ -276,7 +239,7 @@ def _reported_apart(
         if key in keys:
             continue
         for ctx in contexts.values():
-            if ctx.facts(ctx.var_map.get(u, u), ctx.var_map.get(v, v)) == NEQ:
+            if ctx.facts(u, v) == NEQ:
                 keys.add(key)
                 break
     return frozenset(keys)
@@ -313,7 +276,7 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
         rep = _reps(merges, shared)
         pending = _undecided_pairs(rep, distinct, shared)
         if not pending:
-            return _sat(_blocks(rep, shared), results, contexts)
+            return _sat(_blocks(rep, shared), results)
         forced = _first_entailed(problem, contexts, pending)
         if forced is not None:
             stack.append((merges | {eq(*forced)}, distinct))
@@ -335,7 +298,7 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     disequalities across them.  Requires every theory to be flagged convex;
     raises ConvexityFlagFalse when a part rejects the arrangement although it
     accepts the learned equalities alone, which a convex theory cannot do."""
-    not_convex = [tid for tid, flag in problem.convex_flags.items() if not flag]
+    not_convex = [tid for tid, s in problem.solvers.items() if not s.convex]
     if not_convex:
         raise ConvexityNotDeclared(
             f"theories not declared convex: {', '.join(sorted(not_convex))}"
@@ -351,16 +314,10 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
             break
         learned |= new
 
-    # the parts also merge the instance's own equalities, which propagation
-    # never reports as learned
     shared = sorted(problem.shared)
-    rep = _reps(
-        learned | set(problem.instance.eq_atoms()),
-        set(problem.instance.variables) | problem.shared,
-    )
-    blocks = _blocks(rep, shared)
+    blocks = _blocks(_reps(learned, shared), shared)
     apart = [(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
-    ok, results, contexts = _decide_parts(problem, learned, apart)
+    ok, results, _ = _decide_parts(problem, learned, apart)
     if not ok:
         if not _decide_parts(problem, learned, ())[0]:
             return SolveResult(False)
@@ -369,13 +326,13 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
             f"theory {failed} is flagged convex but entails a disjunction of "
             "shared equalities and none of them alone"
         )
-    return _sat(blocks, results, contexts)
+    return _sat(blocks, results)
 
 
 def solve_auto(problem: CombinedProblem) -> SolveResult:
     """Convex propagation when every theory is declared convex, complete
     arrangement search otherwise or when a convex flag proves false."""
-    if all(problem.convex_flags.values()):
+    if all(s.convex for s in problem.solvers.values()):
         try:
             return solve_convex(problem)
         except ConvexityFlagFalse:

@@ -79,9 +79,6 @@ class Instance:
     def __len__(self):
         return len(self.atoms)
 
-    def eq_atoms(self) -> list[Atom]:
-        return [a for a in self.atoms if a.kind == EQ]
-
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self.atoms, key=Atom.sort_key)
 
@@ -186,6 +183,8 @@ class PPFormula:
 
     def __post_init__(self):
         free = set(self.free_vars)
+        if len(free) != len(self.free_vars):
+            raise ValueError("free variables repeat")
         if free & self.existential_vars:
             raise ValueError("free and existential variables overlap")
         scope = free | self.existential_vars

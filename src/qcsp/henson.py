@@ -9,8 +9,6 @@ exactly when a disequality joins two labeled components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formulas import (
     NEQ,
     REL,
@@ -23,7 +21,6 @@ from .formulas import (
     neq,
 )
 from .theories import (
-    Digraph,
     HensonWitness,
     SolveResult,
     WitnessCheckFailed,
@@ -32,15 +29,6 @@ from .theories import (
 )
 
 DEFAULT_E = RelationSymbol("t1", "E", 2)
-
-
-@dataclass(frozen=True)
-class HensonProblem:
-    forbidden: tuple[Digraph, ...]
-    instance: Instance
-
-    def __post_init__(self):
-        check_relations(self.instance, "henson")
 
 
 def fresh_loop_variable(inst: Instance) -> str:
@@ -90,7 +78,9 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
         elif atom.kind == REL:
             arcs.append(atom.args)
 
-    components = UnionFind(collapsed.variables)
+    # a class whose every atom is an equality is a component of its own
+    reps = sorted(set(var_map.values()))
+    components = UnionFind(reps)
     for a, b in arcs:
         components.union(a, b)
     index: dict[str, int] = {}
@@ -115,7 +105,7 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     assignment = {}
     witness_arcs = set()
     any_labeled = any(labeled)
-    for v in collapsed.variables:
+    for v in reps:
         assignment[v] = "a" if labeled[comp_of[v]] else f"n_{v}"
     for a, b in arcs:
         if not labeled[comp_of[a]]:

@@ -6,8 +6,10 @@ temporal (relations given extensionally as sets of allowed order types),
 henson (digraphs omitting a fixed set of finite tournaments) and henson_b1
 (the same digraphs plus one loop vertex, used by the reduction machinery).
 Each record holds the relations the kind fixes, its decide and its witness
-replay.  Every decide returns a replayable witness on SAT, and with it the
-shared (dis)equalities it can read off its own fixpoint.
+replay.  Every decide rewrites the ``eq`` atoms of its instance itself, so
+on SAT it returns a replayable witness over every variable of the instance
+and, keyed by those same names, the (dis)equalities it can read off its own
+fixpoint.
 """
 
 from __future__ import annotations
@@ -92,16 +94,6 @@ class Digraph:
 
 
 @dataclass(frozen=True)
-class TournamentSet:
-    tournaments: tuple[Digraph, ...]
-
-    def __post_init__(self):
-        for t in self.tournaments:
-            if not t.is_tournament():
-                raise ValueError("member is not a tournament")
-
-
-@dataclass(frozen=True)
 class HensonWitness:
     """A finite digraph in the age plus a variable-to-vertex assignment."""
 
@@ -116,30 +108,6 @@ def witness_values(witness) -> Mapping[str, object]:
     if isinstance(witness, HensonWitness):
         return witness.assignment
     return witness or {}
-
-
-def extend_witness(witness, var_map: dict[str, str]):
-    """Map a witness on collapsed representatives back to the original
-    variables.  Representatives whose every atom was an equality vanish from
-    the collapsed instance; they are unconstrained, so they get fresh values.
-    """
-    reps = sorted(set(var_map.values()))
-    if isinstance(witness, dict):
-        values = dict(witness)
-        fresh = max(values.values(), default=-1) + 1
-        for r in reps:
-            if r not in values:
-                values[r] = fresh
-                fresh += 1
-        return {v: values[r] for v, r in var_map.items()}
-    if isinstance(witness, HensonWitness):
-        assignment = dict(witness.assignment)
-        for r in reps:
-            if r not in assignment:
-                assignment[r] = f"n_{r}"
-        extended = {v: assignment[r] for v, r in var_map.items()}
-        return HensonWitness(extended, witness.arcs, witness.loop_vertex)
-    return witness
 
 
 def _no_facts(x: str, y: str) -> str | None:

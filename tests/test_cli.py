@@ -261,6 +261,17 @@ def test_cross_check_command(capsys):
     assert "cond1 true" in lines and "cond3 true" in lines
 
 
+@pytest.mark.parametrize("free", ["x,x,u,v", "x,y,u,", "x,y,u", "x,y,u,v,w", "x,y,u,1v"])
+def test_cross_check_rejects_bad_free_variables(free, capsys):
+    code, out, err = run_cli(
+        "cross-check", str(FIXTURES / "cross_formula.qcsp"), "--free", free,
+        capsys=capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "parse error:" in err
+
+
 def test_probe_command_small(capsys):
     code, out, _ = run_cli(
         "probe-convexity", str(FIXTURES / "temporal_sig.qcsp"),
@@ -275,10 +286,16 @@ def test_probe_command_small(capsys):
     ("-2", "3", "3", "count >= 1"),
     ("10", "1", "3", "max_vars >= 2"),
     ("10", "3", "0", "max_atoms >= 1"),
+    ("5", "9", "3", "max_vars <= 8"),
+    (None, "0", "0", "max_vars >= 2"),
+    (None, "1", "3", "max_vars >= 2"),
+    (None, "3", "0", "max_atoms >= 1"),
 ])
 def test_probe_random_mode_rejects_bad_limits(count, max_vars, max_atoms, limit, capsys):
+    # a count of None probes in exhaustive mode, which checks the same limits
+    mode = ["--exhaustive"] if count is None else ["--random", count]
     code, out, err = run_cli(
-        "probe-convexity", str(FIXTURES / "temporal_sig.qcsp"), "--random", count,
+        "probe-convexity", str(FIXTURES / "temporal_sig.qcsp"), *mode,
         "--max-vars", max_vars, "--max-atoms", max_atoms, capsys=capsys,
     )
     assert code == 4

@@ -13,7 +13,6 @@ from qcsp import _kernels, combine
 from qcsp._kernels import pure
 from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import (
-    Arrangement,
     _decide_parts,
     _entailed_by_a_part,
     _first_entailed,
@@ -29,7 +28,6 @@ from qcsp.combine import (
 from qcsp.formulas import (
     RelationSymbol,
     UnionFind,
-    collapse_equalities,
     eq,
     make_instance,
     neq,
@@ -58,11 +56,7 @@ def _manual_problem(atoms, solvers, shared):
     inst = make_instance(atoms)
     parts, _ = split_by_signature(inst, list(solvers))
     return CombinedProblem(
-        instance=inst,
-        parts=parts,
-        shared=frozenset(shared),
-        solvers=solvers,
-        convex_flags={tid: s.convex for tid, s in solvers.items()},
+        instance=inst, parts=parts, shared=frozenset(shared), solvers=solvers
     )
 
 
@@ -83,6 +77,15 @@ def test_propagate_step_fixpoint_is_empty():
     )
     learned = {eq("x", "y")}
     assert propagate_step(problem, learned) == set()
+
+
+def test_propagate_step_reports_equalities_of_the_instance():
+    # the instance's own eq atom joins shared a and b in every part, so
+    # each part's decide reports them equal
+    problem = _manual_problem(
+        [rel(LT1, "a", "c"), eq("a", "b")], {"t1": PA1, "t2": EQ2}, {"a", "b", "c"}
+    )
+    assert propagate_step(problem, set()) == {eq("a", "b")}
 
 
 def test_propagate_step_temporal_entailment():
@@ -130,7 +133,7 @@ def test_false_convex_flag_is_detected():
     problem = combined_problem(
         parse_problem((FIXTURES / "convex_flag_false.qcsp").read_text())
     )
-    assert all(problem.convex_flags.values())
+    assert all(s.convex for s in problem.solvers.values())
     with pytest.raises(ConvexityFlagFalse, match="t1"):
         solve_convex(problem)
     assert not solve_auto(problem).sat
@@ -190,15 +193,6 @@ def test_solve_auto_dispatch():
     assert solve_auto(nonconvex).sat == solve_complete(nonconvex).sat
 
 
-def test_arrangement_validation_and_induced_atoms():
-    arrangement = Arrangement((("x", "y"), ("z",)))
-    induced = arrangement.induced_atoms()
-    assert eq("x", "y") in induced
-    assert neq("x", "z") in induced and neq("y", "z") in induced
-    with pytest.raises(ValueError):
-        Arrangement((("x",), ("x",)))
-
-
 def _random_pa_pair(rng):
     names = [f"v{i}" for i in range(rng.randint(2, 6))]
     atoms = []
@@ -219,9 +213,7 @@ def _random_pa_pair(rng):
             atoms.append(neq(x, y))
     inst = make_instance(atoms)
     parts, shared = split_by_signature(inst, ["t1", "t2"])
-    return CombinedProblem(
-        inst, parts, shared, {"t1": PA1, "t2": PA2}, {"t1": True, "t2": True}
-    )
+    return CombinedProblem(inst, parts, shared, {"t1": PA1, "t2": PA2})
 
 
 def test_modes_and_oracle_agree_on_random_pa_pairs():
@@ -493,9 +485,7 @@ def _reference_entailed(problem, atoms, x, y) -> bool:
     part is asked directly, without consulting any witness."""
     for tid in sorted(problem.parts):
         merged = make_instance(set(problem.parts[tid].atoms) | set(atoms))
-        collapsed, var_map = collapse_equalities(merged)
-        cx, cy = var_map.get(x, x), var_map.get(y, y)
-        if cx != cy and problem.solvers[tid].entails_eq(collapsed, cx, cy):
+        if problem.solvers[tid].entails_eq(merged, x, y):
             return True
     return False
 
@@ -540,7 +530,7 @@ def test_propagate_step_matches_asking_every_part(monkeypatch):
             # a part rejects the learned equalities: the combination is UNSAT
             assert any(
                 not problem.solvers[tid].decide(
-                    collapse_equalities(make_instance(set(part.atoms) | learned))[0]
+                    make_instance(set(part.atoms) | learned)
                 ).sat
                 for tid, part in problem.parts.items()
             )
@@ -578,17 +568,17 @@ def test_first_entailed_matches_asking_every_part(monkeypatch):
 
 
 def test_kept_counter_models_replay(monkeypatch):
-    # every model a part keeps at a node satisfies the part's collapsed
-    # instance under that node's decisions, so it may rule pairs out
+    # every model a part keeps at a node satisfies the part's instance
+    # under that node's decisions, so it may rule pairs out
     def check(data, problem, names):
         merges, _, contexts, ok = _node(data, problem, names)
         if not ok:
             return
         for x, y in _apart_under(merges, names):
             _entailed_by_a_part(problem, contexts, x, y)
-        for tid, (collapsed, _, _, models, _) in contexts.items():
+        for tid, (instance, _, models, _) in contexts.items():
             for model in models:
-                assert check_part_witness(problem.solvers[tid], collapsed, model)
+                assert check_part_witness(problem.solvers[tid], instance, model)
 
     assert _most_models_held(monkeypatch, check) >= 2
 

@@ -80,9 +80,7 @@ def _mixed_problems(draw):
     parts, shared = split_by_signature(inst, list(solvers))
     # extra shared variables are sound and give the search more pairs
     shared |= draw(st.frozensets(st.sampled_from(names)))
-    return CombinedProblem(
-        inst, parts, shared, solvers, {t: s.convex for t, s in solvers.items()}
-    )
+    return CombinedProblem(inst, parts, shared, solvers)
 
 
 def _without_facts(decide):
@@ -101,7 +99,7 @@ def test_all_modes_agree_with_the_oracle_and_replay():
     def run(problem):
         expected = superpose_bruteforce(problem, max_vars=MAX_VARS).sat
         results = {"complete": solve_complete(problem), "auto": solve_auto(problem)}
-        if all(problem.convex_flags.values()):
+        if all(s.convex for s in problem.solvers.values()):
             results["convex"] = solve_convex(problem)
             reached["convex"] += 1
         for mode, result in results.items():

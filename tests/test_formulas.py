@@ -221,3 +221,8 @@ def test_ppformula_rejects_unbound_variables():
         PPFormula(("x", "y"), frozenset(), frozenset({rel(symbol, "x", "z")}))
     with pytest.raises(ValueError):
         PPFormula(("x",), frozenset({"x"}), frozenset())
+
+
+def test_ppformula_rejects_repeated_free_variables():
+    with pytest.raises(ValueError):
+        PPFormula(("x", "x", "u", "v"), frozenset(), frozenset())

@@ -3,8 +3,6 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from qcsp.combine import CombinedProblem, solve_complete
 from qcsp.formulas import (
     RelationSymbol,
@@ -15,13 +13,12 @@ from qcsp.formulas import (
     split_by_signature,
 )
 from qcsp.henson import (
-    HensonProblem,
     build_s_star,
     component_label_solve,
     fresh_loop_variable,
 )
 from qcsp.oracle import superpose_bruteforce
-from qcsp.theories import ContractViolation, Digraph, TheorySolver, henson_decide
+from qcsp.theories import Digraph, TheorySolver, check_henson_witness, henson_decide
 
 E = RelationSymbol("t1", "E", 2)
 C3 = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
@@ -36,9 +33,7 @@ B1_SOLVERS = {
 def _b1_combined(atoms):
     inst = make_instance(atoms)
     parts, shared = split_by_signature(inst, ["t1", "t2"])
-    return CombinedProblem(
-        inst, parts, shared, B1_SOLVERS, {"t1": False, "t2": True}
-    )
+    return CombinedProblem(inst, parts, shared, B1_SOLVERS)
 
 
 def test_build_s_star_example():
@@ -123,10 +118,14 @@ def test_component_label_collapses_equalities():
     assert not component_label_solve(inst2, (C3,)).sat
 
 
-def test_henson_problem_type_checks_relations():
-    other = RelationSymbol("t1", "F", 2)
-    with pytest.raises(ContractViolation):
-        HensonProblem((C3,), make_instance([rel(other, "x", "y")]))
+def test_component_label_covers_a_class_with_only_equalities():
+    # x and y meet no arc, as when a search node's merged equality reaches
+    # a henson_b1 part: they form a component of their own in the witness
+    inst = make_instance([rel(E, "a", "b"), eq("x", "y")])
+    result = component_label_solve(inst, (C3,))
+    assert result.sat
+    assert result.witness.assignment["x"] == result.witness.assignment["y"]
+    assert check_henson_witness((C3,), inst, result.witness)
 
 
 def _arc_subsets(names):

@@ -130,9 +130,7 @@ def test_brute_unknown_kind():
 def _combined(atoms, solvers):
     inst = make_instance(atoms)
     parts, shared = split_by_signature(inst, list(solvers))
-    return CombinedProblem(
-        inst, parts, shared, solvers, {tid: s.convex for tid, s in solvers.items()}
-    )
+    return CombinedProblem(inst, parts, shared, solvers)
 
 
 def test_superpose_examples():

@@ -22,7 +22,6 @@ from qcsp.theories import (
     ContractViolation,
     Digraph,
     TheorySolver,
-    TournamentSet,
     WitnessCheckFailed,
     builtin_mi,
     canonical_ranks,
@@ -197,10 +196,9 @@ def test_builtin_mi_matches_rational_sampling():
 
 
 def test_tournament_validation():
-    with pytest.raises(ValueError):
-        TournamentSet((Digraph(("a", "b"), frozenset({("a", "b"), ("b", "a")})),))
-    ok = TournamentSet((C3, T3))
-    assert len(ok.tournaments) == 2
+    digon = Digraph(("a", "b"), frozenset({("a", "b"), ("b", "a")}))
+    assert not digon.is_tournament()
+    assert C3.is_tournament() and T3.is_tournament()
 
 
 def _random_order_instance(rng, n_max=5):
