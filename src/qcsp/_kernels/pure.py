@@ -10,6 +10,14 @@ left at exactly ``=`` is entailed equal, one without ``=`` entailed
 distinct, since propagation removes only statuses that no solution has.
 The search returns the solution that is least in the fixed pair order, so
 its result, witness included, is deterministic.
+
+A later search over the same atoms with more constraints can resume from
+that root: it copies the table, applies the constraints, and queues only
+the pairs they change and the atoms watching them.  The old root is a
+fixpoint of a subset of the new propagators that lies above the new
+greatest fixpoint, so chaotic iteration from it reaches that same fixpoint
+(Apt, TCS 1999), exactly as a branch child does from its parent; the search
+below the root, and so the result, is the one a fresh search finds.
 """
 
 from __future__ import annotations
@@ -172,7 +180,7 @@ def _ranks_of(n, state):
     return tuple(rank_of[k] for k in keys)
 
 
-def temporal_search(n, atoms, constraints, root=None):
+def temporal_search(n, atoms, constraints, root=None, start=None):
     """Deterministic branch-and-prune over pairwise statuses.
 
     atoms: sequence of (pairs, patbits) where pairs is a tuple of (i, j)
@@ -183,38 +191,54 @@ def temporal_search(n, atoms, constraints, root=None):
     None.  Branching fixes the first open pair in the order (0, 1), (0, 2),
     ..., and propagation removes only statuses that no solution below the
     node has, so that solution is the least in this order.  When root is a
-    list, the n*n status table of the root fixpoint is appended to it once
-    the root propagation succeeds; it stays empty when the root fails.
+    list, the root fixpoint is appended to it once the root propagation
+    succeeds, as a (table, prepared atoms, watch lists) start; it stays
+    empty when the root fails.  Given such a start from a search over the
+    same atoms and a subset of these constraints, the search skips
+    preparing the atoms and resumes from that root; the result is the same.
     """
-    state = bytearray([ALL]) * (n * n)
-    state[:: n + 1] = bytes([EQB]) * n
-    restrictions = list(constraints)
-    prepared = []
-    watch = [()] * (n * n)
-    for pairs, patbits in atoms:
-        if len(pairs) == 1:
-            # a one-pair atom is a plain restriction: apply it once
-            mask = 0
-            for bits in patbits:
-                mask |= bits[0]
-            restrictions.append((*pairs[0], mask))
-        elif pairs:
-            atom = _kernel_atom(n, pairs, patbits)
-            for key in set(atom[2]):
-                watch[key] += (len(prepared),)
-            prepared.append(atom)
-        elif not patbits:
-            return None
-    constrained = set()
+    if start is None:
+        state = bytearray([ALL]) * (n * n)
+        state[:: n + 1] = bytes([EQB]) * n
+        restrictions = list(constraints)
+        prepared = []
+        watch = [()] * (n * n)
+        for pairs, patbits in atoms:
+            if len(pairs) == 1:
+                # a one-pair atom is a plain restriction: apply it once
+                mask = 0
+                for bits in patbits:
+                    mask |= bits[0]
+                restrictions.append((*pairs[0], mask))
+            elif pairs:
+                atom = _kernel_atom(n, pairs, patbits)
+                for key in set(atom[2]):
+                    watch[key] += (len(prepared),)
+                prepared.append(atom)
+            elif not patbits:
+                return None
+        pending = set(range(len(prepared)))
+    else:
+        # the start's root meets every atom; only new constraints change it
+        table, prepared, watch = start
+        state = bytearray(table)
+        restrictions = constraints
+        pending = set()
+    changed = set()
     for i, j, mask in restrictions:
-        new = state[i * n + j] & mask
+        old = state[i * n + j]
+        new = old & mask
+        if new == old:
+            continue
         if new == 0:
             return None
         state[i * n + j] = new
         state[j * n + i] = _FLIP[new]
-        constrained.add(i * n + j if i < j else j * n + i)
+        key = i * n + j if i < j else j * n + i
+        changed.add(key)
+        pending.update(watch[key])
 
-    stack = [(state, constrained, set(range(len(prepared))))]
+    stack = [(state, changed, pending)]
     while stack:
         current, pairs, pending = stack.pop()
         if not _propagate(n, current, prepared, watch, pairs, pending):
@@ -222,7 +246,7 @@ def temporal_search(n, atoms, constraints, root=None):
         if root is not None:
             # hand back the root once; children copy this table, so it is
             # never written again
-            root.append(current)
+            root.append((current, prepared, watch))
             root = None
         open_pair = _first_open_pair(n, current)
         if open_pair is None:

@@ -17,7 +17,7 @@ entailed disequality apart without trying the equal branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .formulas import (
     EQ,
@@ -100,37 +100,41 @@ class _Context(NamedTuple):
     the node's equalities and disequalities), the values of the witness the
     part was decided with, the models of the part known at this node (that
     witness first, then every counter-model an entailment test returned) and
-    the facts its decide reported (values and models empty when the part
-    rejected the node).  The decide rewrites the equalities itself, so every
-    name is the variable's own.  Models are never carried to another node or
-    round: a later node or round adds atoms, which a kept model need not
-    satisfy."""
+    the result of its decide, whose facts the search reads and from which
+    the part's entailment tests resume (values and models empty when the
+    part rejected the node).  The decide rewrites the equalities itself, so
+    every name is the variable's own.  Models are never carried to another
+    node or round: a later node or round adds atoms, which a kept model need
+    not satisfy."""
 
     instance: Instance
     values: Mapping[str, object]
     models: list[object]
-    facts: Callable[[str, str], str | None]
+    result: SolveResult
 
 
 def _decide_parts(
     problem: CombinedProblem,
     merges: Iterable[Atom],
     distinct_pairs: Iterable[tuple[str, str]],
+    bases: Mapping[str, SolveResult] | None = None,
 ) -> tuple[bool, dict[str, SolveResult], dict[str, _Context]]:
     """Decide every part under the given equality/disequality decisions;
-    each part's decide sees the decisions as plain atoms."""
+    each part's decide sees the decisions as plain atoms and may resume
+    from the part's result in ``bases``, decided under a subset of them."""
     results: dict[str, SolveResult] = {}
     contexts: dict[str, _Context] = {}
+    bases = bases or {}
     merge_atoms = set(merges)
     neq_atoms = {neq(u, v) for u, v in distinct_pairs}
     for tid in sorted(problem.parts):
         part = problem.parts[tid]
         merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
-        result = problem.solvers[tid].decide(merged)
+        result = problem.solvers[tid].decide(merged, bases.get(tid))
         results[tid] = result
         models = [result.witness] if result.sat else []
         contexts[tid] = _Context(
-            merged, witness_values(result.witness), models, result.facts
+            merged, witness_values(result.witness), models, result
         )
         if not result.sat:
             return False, results, contexts
@@ -151,10 +155,10 @@ def _entailed_by_a_part(
     reported equal.  A variable the witness lacks occurs in no atom of the
     part; every theory has infinite models (an isolated fresh vertex stays
     in a henson age), so that variable can differ from all others and the
-    part cannot entail the equality.
+    part cannot entail the equality.  A test resumes from the part's decide
+    at this node.  The parts are asked in the order they were decided.
     """
-    for tid in sorted(problem.parts):
-        instance, values, models, facts = contexts[tid]
+    for tid, (instance, values, models, result) in contexts.items():
         if u not in values or v not in values:
             continue
         # the decided witness alone rules out most pairs; scan the
@@ -163,8 +167,8 @@ def _entailed_by_a_part(
             m[u] != m[v] for m in map(witness_values, models[1:])
         ):
             continue
-        if facts(u, v) == EQ or problem.solvers[tid].entails_eq(
-            instance, u, v, models
+        if result.facts(u, v) == EQ or problem.solvers[tid].entails_eq(
+            instance, u, v, models, base=result
         ):
             return True
     return False
@@ -239,7 +243,7 @@ def _reported_apart(
         if key in keys:
             continue
         for ctx in contexts.values():
-            if ctx.facts(u, v) == NEQ:
+            if ctx.result.facts(u, v) == NEQ:
                 keys.add(key)
                 break
     return frozenset(keys)
@@ -261,16 +265,18 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
     one plain branching would find.  An undecided pair no part entails
     equal (none is left once no merge is forced) cannot be reported equal
     by a sound part, so a distinct report there needs no conflict check.
+    A child only adds decisions, so each part's decide resumes from its
+    decide at the parent node.
     """
     if not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
     shared = sorted(problem.shared)
-    stack: list[tuple[frozenset[Atom], frozenset[tuple[str, str]]]] = [
-        (frozenset(), frozenset())
-    ]
+    stack: list[
+        tuple[frozenset[Atom], frozenset[tuple[str, str]], dict[str, SolveResult]]
+    ] = [(frozenset(), frozenset(), {})]
     while stack:
-        merges, distinct = stack.pop()
-        ok, results, contexts = _decide_parts(problem, merges, distinct)
+        merges, distinct, parent = stack.pop()
+        ok, results, contexts = _decide_parts(problem, merges, distinct, parent)
         if not ok:
             continue
         rep = _reps(merges, shared)
@@ -279,16 +285,17 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
             return _sat(_blocks(rep, shared), results)
         forced = _first_entailed(problem, contexts, pending)
         if forced is not None:
-            stack.append((merges | {eq(*forced)}, distinct))
+            stack.append((merges | {eq(*forced)}, distinct, results))
             continue
         apart = _reported_apart(contexts, pending, rep)
         if apart:
-            stack.append((merges, distinct | apart))
+            stack.append((merges, distinct | apart, results))
             continue
         u, v = pending[0]
         ru, rv = rep[u], rep[v]
-        stack.append((merges, distinct | {(ru, rv) if ru < rv else (rv, ru)}))
-        stack.append((merges | {eq(u, v)}, distinct))
+        key = (ru, rv) if ru < rv else (rv, ru)
+        stack.append((merges, distinct | {key}, results))
+        stack.append((merges | {eq(u, v)}, distinct, results))
     return SolveResult(False)
 
 

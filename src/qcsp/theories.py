@@ -119,13 +119,15 @@ class SolveResult:
     """A verdict, its witness, and on SAT the entailed facts of the decided
     instance: ``facts(x, y)`` is ``EQ`` when every model has x = y, ``NEQ``
     when none has, and None when the solver cannot tell cheaply.  The facts
-    are a sound subset, read off lazily, one pair per call."""
+    are a sound subset, read off lazily, one pair per call.  ``resume`` is
+    an opaque token a later decide of a larger instance may start from."""
 
     sat: bool
     witness: object | None = None
     facts: Callable[[str, str], str | None] = field(
         default=_no_facts, compare=False, repr=False
     )
+    resume: object | None = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -389,8 +391,23 @@ def _atom_patterns(
     return slots, tuple(patterns)
 
 
+class _Resume(NamedTuple):
+    """What a later temporal decide resumes from: the decided atoms and
+    relations, how they went to the kernel, and the kernel's root."""
+
+    atoms: frozenset[Atom]
+    relations: Mapping[str, TemporalRelation]
+    idx: dict[str, int]
+    kernel_atoms: tuple
+    resolved: list[tuple[Atom, TemporalRelation]]
+    constraints: list[tuple[int, int, int]]
+    start: tuple
+
+
 def temporal_decide(
-    inst: Instance, relations: Mapping[str, TemporalRelation]
+    inst: Instance,
+    relations: Mapping[str, TemporalRelation],
+    base: SolveResult | None = None,
 ) -> SolveResult:
     """Branch-and-prune search for a weak order over all variables satisfying
     every atom's order-type set, merging Eq pairs and separating Neq pairs.
@@ -403,39 +420,62 @@ def temporal_decide(
     Facts are read off the kernel's root fixpoint: a pair left at exactly
     ``=`` is entailed equal, a pair without ``=`` entailed distinct.  A
     kernel that hands back no root state gives no facts.
+
+    ``base`` is an earlier result of this decide.  When inst holds base's
+    atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
+    keeps base's index map and kernel atoms and the kernel resumes from
+    base's root fixpoint, which reaches the root fixpoint and result of a
+    fresh decide (see ``_kernels.pure``).  Otherwise (no token, other
+    relations, an atom of base missing, an added relational atom or
+    variable) the decide starts afresh.  Either way the witness is replayed
+    against every atom of inst.
     """
-    variables = inst.variables
-    idx = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
+    prior = base.resume if base is not None else None
+    if prior is not None:
+        added = inst.atoms - prior.atoms
+        idx = prior.idx
+        if (
+            prior.relations is not relations
+            or len(inst.atoms) - len(added) != len(prior.atoms)
+            or any(a.kind == REL or not idx.keys() >= set(a.args) for a in added)
+        ):
+            prior = None
+    if prior is None:
+        idx = {v: i for i, v in enumerate(inst.variables)}
+        ordered = inst.sorted_atoms()
+        atoms = []
+        resolved: list[tuple[Atom, TemporalRelation]] = []
+        by_name: dict[str, tuple[TemporalRelation, tuple]] = {}
+        for atom in ordered:
+            if atom.kind != REL:
+                continue
+            name = atom.symbol.name
+            entry = by_name.get(name)
+            if entry is None:
+                relation = relations.get(name) or relation_for_name(name)
+                if relation is None:
+                    raise ContractViolation(f"unresolved relation {name!r}")
+                distinct = _atom_patterns(relation, tuple(range(relation.arity)))
+                entry = by_name[name] = (relation, distinct)
+            relation, (slots, patterns) = entry
+            if relation.arity != len(atom.args):
+                raise ContractViolation(f"relation {name!r} arity mismatch")
+            positions = [idx[v] for v in atom.args]
+            if len(set(positions)) != len(positions):
+                shape = tuple(map(positions.index, positions))
+                slots, patterns = _atom_patterns(relation, shape)
+            resolved.append((atom, relation))
+            atoms.append(
+                (tuple([(positions[u], positions[w]) for u, w in slots]), patterns)
+            )
+        atoms = tuple(atoms)
+        constraints = []
+    else:
+        # only the added eq/neq atoms need turning into constraints
+        atoms, resolved, ordered = prior.kernel_atoms, prior.resolved, added
+        constraints = list(prior.constraints)
+    n = len(idx)
 
-    ordered = inst.sorted_atoms()
-    atoms = []
-    resolved: list[tuple[Atom, TemporalRelation]] = []
-    by_name: dict[str, tuple[TemporalRelation, tuple]] = {}
-    for atom in ordered:
-        if atom.kind != REL:
-            continue
-        name = atom.symbol.name
-        entry = by_name.get(name)
-        if entry is None:
-            relation = relations.get(name) or relation_for_name(name)
-            if relation is None:
-                raise ContractViolation(f"unresolved relation {name!r}")
-            distinct = _atom_patterns(relation, tuple(range(relation.arity)))
-            entry = by_name[name] = (relation, distinct)
-        relation, (slots, patterns) = entry
-        if relation.arity != len(atom.args):
-            raise ContractViolation(f"relation {name!r} arity mismatch")
-        positions = [idx[v] for v in atom.args]
-        if len(set(positions)) != len(positions):
-            shape = tuple(map(positions.index, positions))
-            slots, patterns = _atom_patterns(relation, shape)
-        resolved.append((atom, relation))
-        atoms.append(
-            (tuple([(positions[u], positions[w]) for u, w in slots]), patterns)
-        )
-
-    constraints = []
     for atom in ordered:
         if atom.kind == EQ:
             i, j = idx[atom.args[0]], idx[atom.args[1]]
@@ -447,12 +487,13 @@ def temporal_decide(
                 return UNSAT
             constraints.append((i, j, LT_BIT | GT_BIT))
 
-    root: list[bytearray] = []
-    ranks = _kernels.temporal_search(n, tuple(atoms), tuple(constraints), root)
+    root: list[tuple] = []
+    start = prior.start if prior else None
+    ranks = _kernels.temporal_search(n, atoms, tuple(constraints), root, start)
     if ranks is None:
         return UNSAT
 
-    witness = {v: ranks[idx[v]] for v in variables}
+    witness = {v: ranks[idx[v]] for v in inst.variables}
     for atom, relation in resolved:
         if not relation.admits(tuple(witness[v] for v in atom.args)):
             raise WitnessCheckFailed(f"temporal witness violates {atom}")
@@ -464,7 +505,7 @@ def temporal_decide(
             raise WitnessCheckFailed(f"temporal witness violates {atom}")
     if not root:
         return SolveResult(True, witness)
-    state = root[0]
+    state = root[0][0]
 
     def facts(x: str, y: str) -> str | None:
         i, j = idx.get(x), idx.get(y)
@@ -475,7 +516,8 @@ def temporal_decide(
             return EQ
         return None if status & EQ_BIT else NEQ
 
-    return SolveResult(True, witness, facts)
+    resume = _Resume(inst.atoms, relations, idx, atoms, resolved, constraints, root[0])
+    return SolveResult(True, witness, facts, resume)
 
 
 def prepare_tournaments(
@@ -616,25 +658,34 @@ class TheorySolver:
         if self.kind not in KINDS:
             raise ValueError(f"unknown theory kind {self.kind!r}")
 
-    def decide(self, inst: Instance) -> SolveResult:
-        return KINDS[self.kind].decide(self, inst)
+    def decide(self, inst: Instance, base: SolveResult | None = None) -> SolveResult:
+        """Decide inst.  ``base``, an earlier result of this solver on a
+        subset of inst's atoms, may let the decide resume from it; the result
+        is the same either way, and kinds other than temporal ignore it."""
+        return KINDS[self.kind].decide(self, inst, base)
 
     def entails_eq(
-        self, inst: Instance, x: str, y: str, counter_models: list | None = None
+        self,
+        inst: Instance,
+        x: str,
+        y: str,
+        counter_models: list | None = None,
+        base: SolveResult | None = None,
     ) -> bool:
         """Whether inst entails x = y, that is, inst with x != y added is
         unsatisfiable.  When it is satisfiable and ``counter_models`` is
-        given, the witness separating x and y is appended to that list."""
+        given, the witness separating x and y is appended to that list.
+        ``base`` is passed on to the decide of the extended instance."""
         from .formulas import make_instance, neq
 
         extended = make_instance(set(inst.atoms) | {neq(x, y)})
-        result = self.decide(extended)
+        result = self.decide(extended, base)
         if result.sat and counter_models is not None:
             counter_models.append(result.witness)
         return not result.sat
 
 
-def _b1_decide(solver: TheorySolver, inst: Instance) -> SolveResult:
+def _b1_decide(solver: TheorySolver, inst: Instance, base) -> SolveResult:
     from .henson import component_label_solve  # henson imports this module
 
     return component_label_solve(inst, solver.forbidden)
@@ -643,10 +694,11 @@ def _b1_decide(solver: TheorySolver, inst: Instance) -> SolveResult:
 class Kind(NamedTuple):
     """What a theory kind is: the relations it fixes, name to arity (None
     when each theory declares its own), its decide, its witness replay and
-    the convex flag a declaration of it carries unless it says otherwise."""
+    the convex flag a declaration of it carries unless it says otherwise.
+    The decide also gets an earlier result it may resume from, or None."""
 
     relations: Mapping[str, int] | None
-    decide: Callable[[TheorySolver, Instance], SolveResult]
+    decide: Callable[[TheorySolver, Instance, SolveResult | None], SolveResult]
     replay: Callable[[TheorySolver, Instance, object], bool]
     convex: bool
 
@@ -656,18 +708,18 @@ def _replay_henson(solver: TheorySolver, inst: Instance, witness) -> bool:
 
 
 KINDS: dict[str, Kind] = {
-    "equality": Kind({}, lambda s, inst: eq_decide(inst), check_value_witness, True),
+    "equality": Kind({}, lambda s, inst, _: eq_decide(inst), check_value_witness, True),
     "point_algebra": Kind(
-        {"lt": 2, "leq": 2}, lambda s, inst: pa_decide(inst), check_value_witness, True
+        {"lt": 2, "leq": 2}, lambda s, inst, _: pa_decide(inst), check_value_witness, True
     ),
     "temporal": Kind(
         None,
-        lambda s, inst: temporal_decide(inst, s.relations),
+        lambda s, inst, base: temporal_decide(inst, s.relations, base),
         check_value_witness,
         False,
     ),
     "henson": Kind(
-        {"E": 2}, lambda s, inst: henson_decide(inst, s.forbidden), _replay_henson, False
+        {"E": 2}, lambda s, inst, _: henson_decide(inst, s.forbidden), _replay_henson, False
     ),
     "henson_b1": Kind({"E": 2}, _b1_decide, _replay_henson, False),
 }

@@ -145,9 +145,7 @@ def test_false_convex_flag_falls_back_or_exits_3(capsys):
 def test_failed_internal_check_exits_internal(monkeypatch, capsys):
     # wrong kernel ranks trip the temporal witness check; the CLI reports an
     # internal error with its own exit code instead of a traceback
-    monkeypatch.setattr(
-        _kernels, "temporal_search", lambda n, atoms, constraints, root=None: (0,) * n
-    )
+    monkeypatch.setattr(_kernels, "temporal_search", lambda n, *rest: (0,) * n)
     code, out, err = run_cli("solve", str(FIXTURES / "mi_sat.qcsp"), capsys=capsys)
     assert code == EXIT_INTERNAL == 5
     assert out == ""

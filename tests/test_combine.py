@@ -292,7 +292,7 @@ def test_search_depth_does_not_grow_with_decided_pairs(monkeypatch):
     monkeypatch.setattr(
         _kernels,
         "temporal_search",
-        lambda n, atoms, constraints, root=None: pure.temporal_search(
+        lambda n, atoms, constraints, root=None, start=None: pure.temporal_search(
             n, atoms, constraints
         ),
     )
@@ -384,6 +384,99 @@ def test_mi_gadget_is_refuted_near_the_root(monkeypatch):
     assert len(nodes) <= 3
 
 
+# A temporal mi/leq part and a point-algebra part over 20 shared variables
+# (SAT): perfbench.generators.build_case("mi_complete", "scale:0", 20, True).
+MI_SAT_20 = """\
+theory t1 temporal
+relation t1 leq/2 ordertypes 0/0,0/1
+relation t1 mi/3 builtin mi
+theory t2 point_algebra
+atom t2 lt v07 v02
+atom t1 mi v02 v17 v08
+atom t1 mi v09 v13 v14
+atom t2 leq v10 v00
+atom t2 lt v14 v03
+atom t1 mi v09 v03 v10
+atom t2 lt v09 v03
+atom t2 leq v19 v05
+atom t1 mi v08 v05 v10
+atom t1 mi v11 v14 v18
+atom t1 mi v03 v00 v19
+atom t1 leq v13 v04
+atom t1 leq v10 v06
+atom t1 mi v16 v10 v00
+atom t1 leq v06 v04
+atom t1 mi v13 v10 v18
+atom t2 lt v11 v15
+atom t1 mi v00 v14 v07
+atom t1 mi v07 v01 v18
+atom t1 mi v19 v14 v12
+atom t2 lt v11 v00
+atom t1 mi v15 v00 v12
+atom t2 lt v04 v03
+atom t1 leq v18 v03
+atom t1 mi v12 v04 v09
+atom t2 lt v13 v05
+atom t1 leq v13 v02
+atom t2 lt v08 v02
+atom t1 leq v02 v16
+atom t1 leq v07 v15
+atom t1 leq v02 v17
+atom t2 leq v18 v05
+atom t1 mi v04 v12 v07
+atom t1 mi v05 v02 v09
+atom t1 mi v19 v02 v01
+atom t2 leq v10 v14
+atom t2 lt v13 v06
+atom t2 lt v01 v02
+atom t1 mi v06 v07 v01
+atom t1 leq v14 v02
+atom t1 leq v18 v03
+atom t2 leq v02 v17
+atom t2 lt v06 v16
+atom t2 leq v02 v05
+atom t1 mi v13 v18 v05
+atom t1 mi v16 v03 v09
+atom t2 leq v06 v09
+atom t2 lt v07 v15
+atom t2 leq v09 v12
+atom t1 mi v17 v07 v04
+"""
+
+
+def _kernel_runs(monkeypatch) -> list:
+    """Record, for every temporal kernel call, whether it resumed."""
+    runs = []
+    original = _kernels.temporal_search
+
+    def recording(n, atoms, constraints, root=None, start=None):
+        runs.append(start is not None)
+        return original(n, atoms, constraints, root, start)
+
+    monkeypatch.setattr(_kernels, "temporal_search", recording)
+    return runs
+
+
+@pytest.mark.parametrize("text", [MI_GADGET_14, MI_SAT_20])
+def test_decides_resume_from_the_earlier_decide(text, monkeypatch):
+    # after the temporal part's root decide, every kernel run, of a search
+    # child or an entailment test, resumes from an earlier decide; a search
+    # whose decides all start afresh returns the same with as many runs
+    problem = combined_problem(parse_problem(text))
+    runs = _kernel_runs(monkeypatch)
+    warm = solve_complete(problem)
+    resumed = runs[:]
+    del runs[:]
+    original = TheorySolver.decide
+    monkeypatch.setattr(
+        TheorySolver, "decide", lambda self, inst, base=None: original(self, inst)
+    )
+    assert solve_complete(problem) == warm
+    assert len(resumed) == len(runs) > 1
+    assert resumed[0] is False and all(resumed[1:])
+    assert not any(runs)
+
+
 def test_equal_facts_replace_entailment_tests(monkeypatch):
     # a leq cycle puts x and y in one component: the decide reports them
     # equal, so propagation learns x = y without an entailment test
@@ -406,9 +499,9 @@ def test_search_tests_entailment_only_where_witnesses_agree(monkeypatch):
     calls = []
     original = TheorySolver.entails_eq
 
-    def counting(self, inst, x, y, counter_models=None):
+    def counting(self, inst, x, y, counter_models=None, base=None):
         calls.append((self.theory_id, x, y))
-        return original(self, inst, x, y, counter_models)
+        return original(self, inst, x, y, counter_models, base)
 
     monkeypatch.setattr(TheorySolver, "entails_eq", counting)
     result = solve_complete(_chain_problem(10))
@@ -506,10 +599,10 @@ def _most_models_held(monkeypatch, check) -> int:
     held = [0]
     original = TheorySolver.entails_eq
 
-    def spying(self, inst, x, y, counter_models=None):
+    def spying(self, inst, x, y, counter_models=None, base=None):
         if counter_models is not None:
             held[0] = max(held[0], len(counter_models))
-        return original(self, inst, x, y, counter_models)
+        return original(self, inst, x, y, counter_models, base)
 
     monkeypatch.setattr(TheorySolver, "entails_eq", spying)
 
@@ -613,10 +706,10 @@ def test_counter_models_cut_entailment_tests(monkeypatch):
     calls = {True: 0, False: 0}
 
     def solve(keep_counter_models):
-        def counting(self, inst, x, y, counter_models=None):
+        def counting(self, inst, x, y, counter_models=None, base=None):
             calls[keep_counter_models] += 1
             kept = counter_models if keep_counter_models else None
-            return original(self, inst, x, y, kept)
+            return original(self, inst, x, y, kept, base)
 
         monkeypatch.setattr(TheorySolver, "entails_eq", counting)
         return solve_complete(problem)

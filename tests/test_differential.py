@@ -84,7 +84,10 @@ def _mixed_problems(draw):
 
 
 def _without_facts(decide):
-    def plain(self, inst):
+    """The decide with any earlier result to resume from ignored, and its
+    facts and resume token dropped: every decide starts afresh."""
+
+    def plain(self, inst, base=None):
         result = decide(self, inst)
         return SolveResult(result.sat, result.witness)
 
@@ -107,7 +110,8 @@ def test_all_modes_agree_with_the_oracle_and_replay():
             if result.sat:
                 assert check_combined_witness(problem, result), mode
         # with the reported facts ignored the search branches on every pair
-        # it could have read off, and must still return the same witness
+        # it could have read off, and with every decide started afresh
+        # rather than resumed, it must still return the same witness
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(TheorySolver, "decide", _without_facts(TheorySolver.decide))
             assert solve_complete(problem) == results["complete"]

@@ -1,6 +1,7 @@
 """Kernel tests: the temporal search against a brute-force least solution,
-its propagation fixpoint and the root fixpoint it hands back, and the
-induced-embedding search against a brute-force reference."""
+its propagation fixpoint, the root fixpoint it hands back and a search
+resumed from it, and the induced-embedding search against a brute-force
+reference."""
 
 import random
 from itertools import combinations, permutations
@@ -226,12 +227,59 @@ def test_root_list_receives_the_root_fixpoint(monkeypatch):
         root = []
         result = pure.temporal_search(n, atoms, constraints, root)
         if calls and calls[0][0]:
-            assert len(root) == 1 and bytes(root[0]) == calls[0][1]
+            assert len(root) == 1 and bytes(root[0][0]) == calls[0][1]
             roots += 1
         else:
             assert root == []
         assert result == pure.temporal_search(n, atoms, constraints)
     assert 0 < roots < 3000
+
+
+def _extra_restrictions(rng, n, state):
+    """One to three restrictions on random pairs: each either a random
+    mask, the mask of the statuses the pair lacks in the table (it empties
+    the pair) or a mask of statuses the pair has and more (it changes
+    nothing)."""
+    extra = []
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        status = state[i * n + j]
+        extra.append((i, j, rng.choice([
+            rng.randint(1, 7), pure.ALL & ~status, status | rng.randint(0, 7)
+        ])))
+    return tuple(extra)
+
+
+def test_resumed_search_matches_a_fresh_one():
+    # a search resumed from a root fixpoint with more restrictions returns
+    # the ranks and the root fixpoint of a fresh search that gets them all
+    # as constraints, through chains of resumes too
+    rng = random.Random(163)
+    outcomes = {"emptied": 0, "unchanged": 0, "changed": 0}
+    for _ in range(3000):
+        n, atoms, constraints = _random_temporal_case(rng)
+        root = []
+        pure.temporal_search(n, atoms, constraints, root)
+        while root and n >= 2:
+            start = root[0]
+            table = bytes(start[0])
+            extra = _extra_restrictions(rng, n, table)
+            constraints += extra
+            fresh, root = [], []
+            expected = pure.temporal_search(n, atoms, constraints, fresh)
+            got = pure.temporal_search(n, atoms, constraints, root, start)
+            assert got == expected, (n, atoms, constraints)
+            assert [bytes(r[0]) for r in root] == [bytes(r[0]) for r in fresh]
+            kept = [table[i * n + j] & mask for i, j, mask in extra]
+            if 0 in kept:
+                assert got is None and root == []
+                outcomes["emptied"] += 1
+            elif kept == [table[i * n + j] for i, j, _ in extra]:
+                assert bytes(root[0][0]) == table
+                outcomes["unchanged"] += 1
+            else:
+                outcomes["changed"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_root_fixpoint_statuses_hold_in_every_solution():
@@ -246,7 +294,7 @@ def test_root_fixpoint_statuses_hold_in_every_solution():
         pure.temporal_search(n, atoms, constraints, root)
         if not root:
             continue
-        state = root[0]
+        state = root[0][0]
         for ranks in _solutions(n, atoms, constraints):
             for i in range(n):
                 for j in range(n):

@@ -392,6 +392,85 @@ def test_reported_facts_are_entailed(kind, monkeypatch):
     assert found[EQ] > 0 and found[NEQ] > 0
 
 
+# Resumed temporal decides: a decide given an earlier result may start from
+# that decide's root fixpoint, and returns what a fresh decide returns
+def _kernel_starts(monkeypatch) -> list:
+    """Record, for every temporal kernel call, whether it resumed."""
+    starts = []
+    original = _kernels.temporal_search
+
+    def recording(n, atoms, constraints, root=None, start=None):
+        starts.append(start is not None)
+        return original(n, atoms, constraints, root, start)
+
+    monkeypatch.setattr(_kernels, "temporal_search", recording)
+    return starts
+
+
+def _assert_same_decide(solver, inst, base):
+    """The decide of inst given base equals a fresh one, facts included."""
+    warm, cold = solver.decide(inst, base), solver.decide(inst)
+    assert warm == cold, (inst, base)
+    for x in inst.variables + ("unknown",):
+        for y in inst.variables:
+            assert warm.facts(x, y) == cold.facts(x, y), (inst, x, y)
+    return warm
+
+
+def test_resumed_temporal_decide_matches_a_fresh_one(monkeypatch):
+    # on 1000 satisfiable instances, chains of two or three extensions,
+    # each by one to three eq/neq atoms over the instance's variables and
+    # now and then a reflexive neq
+    starts = _kernel_starts(monkeypatch)
+    solver = FACT_SOLVERS["temporal"]
+    rng = random.Random(167)
+    bases = resumed = 0
+    while bases < 1000:
+        inst = _random_fact_instance(rng, "temporal")
+        result = solver.decide(inst)
+        bases += result.sat
+        for _ in range(rng.randint(2, 3)):
+            names = inst.variables
+            if not result.sat or len(names) < 2:
+                break
+            pairs = [rng.sample(names, 2) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.1:
+                pairs.append([names[0]] * 2)
+            extra = {rng.choice([eq, neq])(x, y) for x, y in pairs}
+            inst = make_instance(set(inst.atoms) | extra)
+            del starts[:]
+            result = _assert_same_decide(solver, inst, result)
+            resumed += starts == [True, False]
+    assert resumed >= 1000
+
+
+def test_resume_falls_back_to_a_fresh_decide(monkeypatch):
+    starts = _kernel_starts(monkeypatch)
+    solver = FACT_SOLVERS["temporal"]
+    atoms = {rel(MI, "a", "b", "c"), rel(LEQ, "c", "b"), neq("a", "c")}
+    base = solver.decide(make_instance(atoms))
+    fallbacks = {
+        "a new variable": atoms | {eq("a", "d")},
+        "a relational atom": atoms | {rel(LT, "a", "b")},
+        "a base atom missing": {rel(MI, "a", "b", "c"), eq("a", "b")},
+    }
+    for case, fallback in fallbacks.items():
+        del starts[:]
+        _assert_same_decide(solver, make_instance(fallback), base)
+        assert starts == [False, False], case
+    # a base decided under other relations, or by another kind
+    other = TheorySolver("t1", "temporal", False, relations=dict(FACT_RELS))
+    extended = make_instance(atoms | {neq("a", "b")})
+    equality = eq_decide(make_instance([neq("a", "c")]))
+    for foreign in (other.decide(make_instance(atoms)), equality):
+        del starts[:]
+        _assert_same_decide(solver, extended, foreign)
+        assert starts == [False, False]
+    del starts[:]
+    _assert_same_decide(solver, extended, base)
+    assert starts == [True, False]
+
+
 # The registry of theory kinds: one small SAT instance per kind
 KIND_SOLVERS = {
     "equality": TheorySolver("t1", "equality", True),
@@ -448,3 +527,13 @@ def test_fixed_relation_kinds_reject_other_relations(kind):
     with pytest.raises(ContractViolation):
         KIND_SOLVERS[kind].decide(inst)
     assert not check_part_witness(KIND_SOLVERS[kind], inst, {"x": 0, "y": 1})
+
+
+@pytest.mark.parametrize("kind", ["equality", "point_algebra", "henson", "henson_b1"])
+def test_other_kinds_ignore_a_base(kind):
+    solver = KIND_SOLVERS[kind]
+    inst = KIND_SAT_INSTANCES[kind]
+    extended = make_instance(set(inst.atoms) | {neq("y", "w")})
+    temporal = FACT_SOLVERS["temporal"].decide(make_instance([neq("y", "w")]))
+    for base in (solver.decide(inst), temporal):
+        _assert_same_decide(solver, extended, base)
