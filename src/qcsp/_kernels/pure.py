@@ -157,11 +157,14 @@ def _propagate(n, state, atoms, watch, pairs, pending):
     return True
 
 
-def _first_open_pair(n, state):
-    for i in range(n):
-        for j in range(i + 1, n):
+def _first_open_pair(n, state, i, j):
+    """The first open pair at or after (i, j) in the order (0, 1), (0, 2), ..."""
+    while i < n:
+        for j in range(j, n):
             if _OPEN[state[i * n + j]]:
                 return i, j
+        i += 1
+        j = i + 1
     return None
 
 
@@ -190,12 +193,14 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
     canonical rank tuple of the first solution in <, =, > branch order, or
     None.  Branching fixes the first open pair in the order (0, 1), (0, 2),
     ..., and propagation removes only statuses that no solution below the
-    node has, so that solution is the least in this order.  When root is a
-    list, the root fixpoint is appended to it once the root propagation
-    succeeds, as a (table, prepared atoms, watch lists) start; it stays
-    empty when the root fails.  Given such a start from a search over the
-    same atoms and a subset of these constraints, the search skips
-    preparing the atoms and resumes from that root; the result is the same.
+    node has, so that solution is the least in this order.  The pairs before
+    a node's open pair are fixed, and stay so in its children, so a child
+    scans on from the pair its parent fixed.  When root is a list, the root
+    fixpoint is appended to it once the root propagation succeeds, as a
+    (table, prepared atoms, watch lists) start; it stays empty when the
+    root fails.  Given such a start from a search over the same atoms and a
+    subset of these constraints, the search skips preparing the atoms and
+    resumes from that root; the result is the same.
     """
     if start is None:
         state = bytearray([ALL]) * (n * n)
@@ -238,9 +243,9 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
         changed.add(key)
         pending.update(watch[key])
 
-    stack = [(state, changed, pending)]
+    stack = [(state, changed, pending, (0, 1))]
     while stack:
-        current, pairs, pending = stack.pop()
+        current, pairs, pending, first = stack.pop()
         if not _propagate(n, current, prepared, watch, pairs, pending):
             continue
         if root is not None:
@@ -248,7 +253,7 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
             # never written again
             root.append((current, prepared, watch))
             root = None
-        open_pair = _first_open_pair(n, current)
+        open_pair = _first_open_pair(n, current, *first)
         if open_pair is None:
             return _ranks_of(n, current)
         i, j = open_pair
@@ -261,7 +266,7 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
                 child = bytearray(current)
                 child[key] = bit
                 child[j * n + i] = _FLIP[bit]
-                stack.append((child, {key}, set(watch[key])))
+                stack.append((child, {key}, set(watch[key]), (i, j + 1)))
     return None
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 a verdict was produced, 2 parse error, 3 mode precondition
 violated (convex mode on a theory not flagged convex, or whose convex flag
 proved false), 4 resource bound exceeded, 5 internal error (a witness or a
 constructed instance failed an internal check, including the replay of every
-SAT witness ``solve`` makes before it prints; no verdict is printed).
+SAT witness ``solve`` and ``henson solve|reduce-down`` make before they print;
+no verdict is printed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from .analysis import probe_convexity, check_cross_prevention
-from .checking import check_combined_witness
+from .checking import check_combined_witness, check_part_witness
 from .combine import (
     CombinedProblem,
     ConvexityNotDeclared,
@@ -218,9 +219,12 @@ def cmd_henson(args) -> int:
         result = solver.decide(problem.instance)
     else:  # reduce-down
         result = component_label_solve(problem.instance, solver.forbidden)
+    witness = result.witness
+    if result.sat and not check_part_witness(solver, problem.instance, witness):
+        raise WitnessCheckFailed("the SAT witness does not replay against the input")
     print(result.verdict)
     if args.witness and result.sat:
-        assignment = witness_values(result.witness)
+        assignment = witness_values(witness)
         for var in sorted(assignment):
             print(f"model {tid} {var} {assignment[var]}")
     return EXIT_OK

@@ -11,7 +11,10 @@ detected rather than trusted; ``solve_auto`` then falls back to the search.
 Both modes use theory propagation (Nieuwenhuis, Oliveras & Tinelli 2006):
 every decide also reports shared (dis)equalities its part entails, so an
 entailed equality needs no entailment test and the search decides an
-entailed disequality apart without trying the equal branch.
+entailed disequality apart without trying the equal branch.  Both keep a
+part's model while it agrees with the new decisions (de Moura & Bjorner
+2007): a search child or a later round keeps a part's earlier result when
+its witness already satisfies the part's extended instance.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .formulas import (
     EQ,
     NEQ,
+    REL,
     Atom,
     Instance,
     Problem,
@@ -68,8 +72,8 @@ def combined_problem(problem: Problem) -> CombinedProblem:
 
 
 def _neutral_atoms_consistent(instance: Instance) -> bool:
-    """Eq/Neq atoms are duplicated into every part, but a problem with no
-    theories has no part to reject a reflexive disequality; check directly."""
+    """Every part's decide rejects a reflexive disequality of its copy of the
+    Eq/Neq atoms, but a problem with no theories has no part; check here."""
     collapsed, _ = collapse_equalities(instance)
     return not any(
         a.kind == NEQ and a.args[0] == a.args[1] for a in collapsed.atoms
@@ -77,21 +81,40 @@ def _neutral_atoms_consistent(instance: Instance) -> bool:
 
 
 def propagate_step(
-    problem: CombinedProblem, learned: set[Atom]
+    problem: CombinedProblem,
+    learned: set[Atom],
+    results: dict[str, SolveResult] | None = None,
 ) -> set[Atom] | None:
     """One propagation round: all shared equalities newly entailed by some
     theory under the learned set.  Empty result signals a fixpoint.  None
     signals that a part rejects the learned equalities; each of them is
-    entailed, so the combined problem is unsatisfiable."""
+    entailed, so the combined problem is unsatisfiable.  Only pairs that
+    some part's witness ties and the learned set keeps apart can be
+    entailed, so only those are asked about.  ``results``, when given, holds
+    each part's result of the round before, which this round may keep, and
+    is updated in place with this round's results."""
     shared = sorted(problem.shared)
-    pending = _undecided_pairs(_reps(learned, shared), frozenset(), shared)
-    if not pending:
+    rep = _reps(learned, shared)
+    if len(set(rep.values())) < 2:
         return set()
-    ok, _, contexts = _decide_parts(problem, learned, ())
+    ok, decided, contexts = _decide_parts(problem, learned, (), results)
+    if results is not None:
+        results.update(decided)
     if not ok:
         return None
+    tied: set[tuple[str, str]] = set()
+    for ctx in contexts.values():
+        by_value: dict[object, list[str]] = {}
+        for v in shared:
+            if v in ctx.values:
+                by_value.setdefault(ctx.values[v], []).append(v)
+        for group in by_value.values():
+            for i, u in enumerate(group):
+                tied.update((u, v) for v in group[i + 1 :] if rep[u] != rep[v])
     return {
-        eq(x, y) for x, y in pending if _entailed_by_a_part(problem, contexts, x, y)
+        eq(x, y)
+        for x, y in sorted(tied)
+        if _entailed_by_a_part(problem, contexts, x, y)
     }
 
 
@@ -103,9 +126,9 @@ class _Context(NamedTuple):
     the result of its decide, whose facts the search reads and from which
     the part's entailment tests resume (values and models empty when the
     part rejected the node).  The decide rewrites the equalities itself, so
-    every name is the variable's own.  Models are never carried to another
-    node or round: a later node or round adds atoms, which a kept model need
-    not satisfy."""
+    every name is the variable's own.  Counter-models are never carried to
+    another node or round: a later node or round adds atoms, which a kept
+    model need not satisfy."""
 
     instance: Instance
     values: Mapping[str, object]
@@ -120,8 +143,15 @@ def _decide_parts(
     bases: Mapping[str, SolveResult] | None = None,
 ) -> tuple[bool, dict[str, SolveResult], dict[str, _Context]]:
     """Decide every part under the given equality/disequality decisions;
-    each part's decide sees the decisions as plain atoms and may resume
-    from the part's result in ``bases``, decided under a subset of them."""
+    each part's decide sees the decisions as plain atoms.
+
+    ``bases`` holds a result of each part decided under a subset of the
+    decisions.  A SAT base whose witness covers the part's instance and
+    meets every decision is taken as it is: the decide would return that
+    same witness (the temporal kernel returns the least solution in its
+    fixed pair order; the other kinds build theirs from classes, components
+    or arcs such decisions do not move), and its facts stay sound.  Any
+    other part's decide may resume from its base."""
     results: dict[str, SolveResult] = {}
     contexts: dict[str, _Context] = {}
     bases = bases or {}
@@ -130,7 +160,13 @@ def _decide_parts(
     for tid in sorted(problem.parts):
         part = problem.parts[tid]
         merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
-        result = problem.solvers[tid].decide(merged, bases.get(tid))
+        base = bases.get(tid)
+        if base is not None and base.sat and _realizes(
+            witness_values(base.witness), merged
+        ):
+            result = base
+        else:
+            result = problem.solvers[tid].decide(merged, base)
         results[tid] = result
         models = [result.witness] if result.sat else []
         contexts[tid] = _Context(
@@ -139,6 +175,15 @@ def _decide_parts(
         if not result.sat:
             return False, results, contexts
     return True, results, contexts
+
+
+def _realizes(values: Mapping[str, object], instance: Instance) -> bool:
+    """Whether witness values cover the instance and meet its eq/neq atoms."""
+    return values.keys() >= set(instance.variables) and all(
+        (values[a.args[0]] == values[a.args[1]]) == (a.kind == EQ)
+        for a in instance.atoms
+        if a.kind != REL
+    )
 
 
 def _entailed_by_a_part(
@@ -265,10 +310,11 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
     one plain branching would find.  An undecided pair no part entails
     equal (none is left once no merge is forced) cannot be reported equal
     by a sound part, so a distinct report there needs no conflict check.
-    A child only adds decisions, so each part's decide resumes from its
-    decide at the parent node.
+    A child only adds decisions, so each part keeps its result at the
+    parent node when that result's witness satisfies the child's decisions,
+    and otherwise resumes its decide from it.
     """
-    if not _neutral_atoms_consistent(problem.instance):
+    if not problem.parts and not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
     shared = sorted(problem.shared)
     stack: list[
@@ -304,17 +350,20 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     part under the propagated arrangement: learned equalities inside blocks,
     disequalities across them.  Requires every theory to be flagged convex;
     raises ConvexityFlagFalse when a part rejects the arrangement although it
-    accepts the learned equalities alone, which a convex theory cannot do."""
+    accepts the learned equalities alone, which a convex theory cannot do.
+    Each round's decides, and both final checks, start from the part results
+    of the round before, decided under fewer equalities."""
     not_convex = [tid for tid, s in problem.solvers.items() if not s.convex]
     if not_convex:
         raise ConvexityNotDeclared(
             f"theories not declared convex: {', '.join(sorted(not_convex))}"
         )
-    if not _neutral_atoms_consistent(problem.instance):
+    if not problem.parts and not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
     learned: set[Atom] = set()
+    results: dict[str, SolveResult] = {}
     while True:
-        new = propagate_step(problem, learned)
+        new = propagate_step(problem, learned, results)
         if new is None:
             return SolveResult(False)
         if not new:
@@ -324,16 +373,16 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     shared = sorted(problem.shared)
     blocks = _blocks(_reps(learned, shared), shared)
     apart = [(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
-    ok, results, _ = _decide_parts(problem, learned, apart)
+    ok, final, _ = _decide_parts(problem, learned, apart, results)
     if not ok:
-        if not _decide_parts(problem, learned, ())[0]:
+        if not _decide_parts(problem, learned, (), results)[0]:
             return SolveResult(False)
-        failed = next(tid for tid, result in results.items() if not result.sat)
+        failed = next(tid for tid, result in final.items() if not result.sat)
         raise ConvexityFlagFalse(
             f"theory {failed} is flagged convex but entails a disjunction of "
             "shared equalities and none of them alone"
         )
-    return _sat(blocks, results)
+    return _sat(blocks, final)
 
 
 def solve_auto(problem: CombinedProblem) -> SolveResult:

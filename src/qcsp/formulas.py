@@ -125,12 +125,15 @@ def collapse_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
 
     Returns the rewritten instance and the full substitution map (identity
     entries included).  A Neq whose endpoints collapse together is kept as
-    Neq(v, v); solvers treat it as unsatisfiable.
+    Neq(v, v); solvers treat it as unsatisfiable.  Without Eq atoms the
+    instance itself is returned: ``neq`` already orders its arguments.
     """
+    equalities = [atom for atom in inst.atoms if atom.kind == EQ]
+    if not equalities:
+        return inst, {v: v for v in inst.variables}
     classes = UnionFind(inst.variables)
-    for atom in inst.atoms:
-        if atom.kind == EQ:
-            classes.union(*atom.args)
+    for atom in equalities:
+        classes.union(*atom.args)
 
     var_map = classes.mapping()
     out: set[Atom] = set()

@@ -10,7 +10,13 @@ from qcsp import _kernels, cli
 from qcsp.cli import EXIT_INTERNAL, main
 from qcsp.combine import CombinedWitness
 from qcsp.formulas import REL, parse_problem
-from qcsp.theories import SolveResult, canonical_ranks, relation_for_name
+from qcsp.theories import (
+    HensonWitness,
+    SolveResult,
+    TheorySolver,
+    canonical_ranks,
+    relation_for_name,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -246,6 +252,22 @@ def test_henson_reduce_down_witness(capsys):
         values[var] = value
     # the whole triangle maps to the loop vertex
     assert set(values.values()) == {"a"}
+
+
+@pytest.mark.parametrize("action", ["solve", "reduce-down"])
+def test_henson_sat_witness_that_does_not_replay_exits_internal(
+    action, monkeypatch, capsys
+):
+    # the triangle's arcs are missing from the stub's digraph
+    bad = SolveResult(True, HensonWitness({"x": "p", "y": "q", "z": "r"}, frozenset()))
+    monkeypatch.setattr(TheorySolver, "decide", lambda self, inst, base=None: bad)
+    monkeypatch.setattr(cli, "component_label_solve", lambda inst, forbidden: bad)
+    code, out, err = run_cli(
+        "henson", action, str(FIXTURES / "henson_c3.qcsp"), "--witness", capsys=capsys
+    )
+    assert code == EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("internal error: the SAT witness does not replay")
 
 
 def test_cross_check_command(capsys):

@@ -36,7 +36,7 @@ from qcsp.formulas import (
     split_by_signature,
 )
 from qcsp.oracle import superpose_bruteforce
-from qcsp.theories import Digraph, TheorySolver, builtin_mi
+from qcsp.theories import KINDS, Digraph, TheorySolver, builtin_mi
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -175,6 +175,28 @@ def test_neutral_atoms_checked_without_theories():
     consistent = combined_problem(parse_problem("neq x y\n"))
     assert solve_complete(consistent).sat
     assert solve_auto(consistent).sat
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_parts_reject_contradicting_neutral_atoms_without_a_collapse(
+    kind, monkeypatch
+):
+    # every part holds the eq/neq atoms and its decide rejects x != x after
+    # its own merging, so combine collapses the whole instance only when
+    # there is no part; the flag lets convex mode run on every kind
+    calls = []
+    original = combine.collapse_equalities
+    monkeypatch.setattr(
+        combine, "collapse_equalities", lambda inst: calls.append(inst) or original(inst)
+    )
+    problem = _manual_problem(
+        [eq("x", "y"), eq("y", "z"), neq("x", "z")],
+        {"t1": TheorySolver("t1", kind, True)},
+        {"x", "y", "z"},
+    )
+    for solve in (solve_complete, solve_convex, solve_auto):
+        assert not solve(problem).sat
+    assert calls == []
 
 
 def test_solve_auto_dispatch():
@@ -507,6 +529,75 @@ def test_search_tests_entailment_only_where_witnesses_agree(monkeypatch):
     result = solve_complete(_chain_problem(10))
     assert result.sat
     assert len(calls) <= 20
+
+
+# Two point-algebra parts whose tie groups grow over three convex rounds:
+# t1 forces a = b, then t2 forces c = d and a = c, then t1 forces e = f and
+# c = e; g < h in t1 keeps two more blocks apart, so the fourth round, which
+# finds the fixpoint, decides both parts too.
+TIE_GROUPS = """\
+theory t1 point_algebra
+theory t2 point_algebra
+atom t1 leq a b
+atom t1 leq b a
+atom t1 leq c e
+atom t1 leq e d
+atom t1 leq c f
+atom t1 leq f d
+atom t1 lt g h
+atom t2 leq c a
+atom t2 leq b d
+atom t2 leq d c
+atom t2 leq e x
+atom t2 leq f y
+atom t2 leq g h
+"""
+
+
+def test_convex_rounds_reuse_results_and_test_only_tied_pairs(monkeypatch):
+    # a part whose last witness already satisfies the new equalities is not
+    # decided again, and a pair no part's witness ties is never asked about
+    problem = combined_problem(parse_problem(TIE_GROUPS))
+    decides, rounds, tied = [], [], []
+    original_decide = TheorySolver.decide
+    original_step = combine.propagate_step
+    original_ask = combine._entailed_by_a_part
+
+    def deciding(self, inst, base=None):
+        decides.append(self.theory_id)
+        return original_decide(self, inst, base)
+
+    def stepping(*args):
+        rounds.append(args)
+        return original_step(*args)
+
+    def asking(problem, contexts, u, v):
+        tied.append(any(c.values[u] == c.values[v] for c in contexts.values()))
+        return original_ask(problem, contexts, u, v)
+
+    monkeypatch.setattr(TheorySolver, "decide", deciding)
+    monkeypatch.setattr(combine, "propagate_step", stepping)
+    monkeypatch.setattr(combine, "_entailed_by_a_part", asking)
+    result = solve_convex(problem)
+    assert result.sat
+    assert result.witness.arrangement == (("a", "b", "c", "d", "e", "f"), ("g",), ("h",))
+    assert len(rounds) == 4
+    # both parts decided in each round and in the final check make 2 * 5
+    every_time = 2 * (len(rounds) + 1)
+    assert len(decides) < every_time
+    assert tied and all(tied)
+    # with every base dropped that is what happens, to the same result
+    del decides[:]
+    monkeypatch.setattr(combine, "_decide_parts", _cold(combine._decide_parts))
+    assert solve_convex(problem) == result
+    assert len(decides) == every_time
+
+
+def _cold(decide_parts):
+    """_decide_parts with every base dropped: each part is decided afresh."""
+    return lambda problem, merges, distinct, bases=None: decide_parts(
+        problem, merges, distinct
+    )
 
 
 # Random combined problems over all four theory kinds, for comparing the

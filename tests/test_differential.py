@@ -9,6 +9,7 @@ at most 3 theories, about 15 s on one core.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcsp import combine
 from qcsp.checking import check_combined_witness
 from qcsp.combine import CombinedProblem, solve_auto, solve_complete, solve_convex
 from qcsp.formulas import RelationSymbol, eq, make_instance, neq, rel, split_by_signature
@@ -94,6 +95,16 @@ def _without_facts(decide):
     return plain
 
 
+def _without_bases(decide_parts):
+    """combine._decide_parts with the earlier results it may keep or resume
+    from dropped."""
+
+    def cold(problem, merges, distinct_pairs, bases=None):
+        return decide_parts(problem, merges, distinct_pairs)
+
+    return cold
+
+
 def test_all_modes_agree_with_the_oracle_and_replay():
     reached = {"sat": 0, "unsat": 0, "convex": 0, "henson+temporal": 0}
 
@@ -110,11 +121,15 @@ def test_all_modes_agree_with_the_oracle_and_replay():
             if result.sat:
                 assert check_combined_witness(problem, result), mode
         # with the reported facts ignored the search branches on every pair
-        # it could have read off, and with every decide started afresh
-        # rather than resumed, it must still return the same witness
+        # it could have read off, and with every part decided afresh at
+        # every node and round, rather than resumed or kept from an earlier
+        # node or round, both modes must still return the same witness
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(TheorySolver, "decide", _without_facts(TheorySolver.decide))
+            patch.setattr(combine, "_decide_parts", _without_bases(combine._decide_parts))
             assert solve_complete(problem) == results["complete"]
+            if "convex" in results:
+                assert solve_convex(problem) == results["convex"]
         reached["sat" if expected else "unsat"] += 1
         kinds = {s.kind for s in problem.solvers.values()}
         reached["henson+temporal"] += {"henson", "temporal"} <= kinds

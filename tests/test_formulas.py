@@ -140,6 +140,31 @@ def test_collapse_idempotent_on_random_instances():
         assert all(k == v for k, v in var_map.items())
 
 
+def test_collapse_without_equalities_matches_a_full_collapse():
+    # a reflexive eq atom joins nothing but sends the collapse down its full
+    # path; without any eq atom the instance comes back as it is
+    rng = random.Random(11)
+    binary, ternary = RelationSymbol("t1", "R", 2), RelationSymbol("t1", "S", 3)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 6))]
+        atoms = []
+        for _ in range(rng.randint(0, 8)):
+            symbol = rng.choice([binary, ternary, "neq"])
+            if symbol == "neq":
+                atoms.append(neq(rng.choice(names), rng.choice(names)))
+            else:
+                atoms.append(rel(symbol, *rng.choices(names, k=symbol.arity)))
+        inst = make_instance(atoms)
+        collapsed, var_map = collapse_equalities(inst)
+        assert collapsed is inst
+        if not inst.variables:
+            continue
+        v = inst.variables[0]
+        full, full_map = collapse_equalities(make_instance(atoms + [eq(v, v)]))
+        assert (collapsed, var_map) == (full, full_map)
+        assert collapsed.variables == full.variables
+
+
 def test_split_routes_and_copies():
     lt1 = RelationSymbol("t1", "lt", 2)
     inst = make_instance([rel(lt1, "x", "y"), neq("y", "z")])

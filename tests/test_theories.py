@@ -31,6 +31,7 @@ from qcsp.theories import (
     relation_from_predicate,
     relation_for_name,
     temporal_decide,
+    witness_values,
 )
 
 LT = RelationSymbol("t1", "lt", 2)
@@ -537,3 +538,30 @@ def test_other_kinds_ignore_a_base(kind):
     temporal = FACT_SOLVERS["temporal"].decide(make_instance([neq("y", "w")]))
     for base in (solver.decide(inst), temporal):
         _assert_same_decide(solver, extended, base)
+
+
+# Kept results: combine takes a part's earlier result as it is when the
+# part's witness satisfies the eq/neq atoms a later node or round adds, so
+# the decide of the extended instance must return that same result
+KEEP_SOLVERS = {**FACT_SOLVERS, "henson_b1": KIND_SOLVERS["henson_b1"]}
+
+
+@pytest.mark.parametrize("kind", sorted(KEEP_SOLVERS))
+def test_decisions_the_witness_satisfies_keep_the_result(kind):
+    solver = KEEP_SOLVERS[kind]
+    rng = random.Random(179)
+    kept = 0
+    while kept < 1000:
+        inst = _random_fact_instance(rng, "henson" if kind == "henson_b1" else kind)
+        result = solver.decide(inst)
+        pairs = list(combinations(inst.variables, 2))
+        if not result.sat or not pairs:
+            continue
+        values = witness_values(result.witness)
+        added = {
+            (eq if values[x] == values[y] else neq)(x, y)
+            for x, y in rng.sample(pairs, rng.randint(1, len(pairs)))
+        }
+        extended = make_instance(set(inst.atoms) | added)
+        assert solver.decide(extended) == result, (inst, added)
+        kept += 1
