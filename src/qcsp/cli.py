@@ -24,12 +24,12 @@ from .combine import (
     solve_convex,
 )
 from .formulas import (
-    IDENT_RE,
     PPFormula,
     ParseError,
     Problem,
     REL,
     RelationSymbol,
+    is_identifier,
     parse_problem,
     render_problem,
 )
@@ -160,7 +160,7 @@ def _free_variables(text: str) -> tuple[str, ...]:
     follow the instance format's identifier rule."""
     free = tuple(name.strip() for name in text.split(","))
     for name in free:
-        if not IDENT_RE.match(name):
+        if not is_identifier(name):
             raise ParseError(f"invalid free variable {name!r}")
     if len(free) != 4 or len(set(free)) != 4:
         raise ParseError("cross-check needs four distinct free variables x,y,u,v")

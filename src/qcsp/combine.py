@@ -159,7 +159,10 @@ def _decide_parts(
     neq_atoms = {neq(u, v) for u, v in distinct_pairs}
     for tid in sorted(problem.parts):
         part = problem.parts[tid]
-        merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
+        if merge_atoms or neq_atoms:
+            merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
+        else:
+            merged = part  # no decisions: the part is its own instance
         base = bases.get(tid)
         if base is not None and base.sat and _realizes(
             witness_values(base.witness), merged

@@ -9,14 +9,12 @@ per-theory parts for combination.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
-    from .theories import TheorySolver
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+    from .theories import Digraph, TheorySolver
 
 REL = "rel"
 EQ = "eq"
@@ -204,8 +202,14 @@ class Problem:
     instance: Instance
 
 
-def _check_ident(token: str, what: str, line_no: int) -> str:
-    if not IDENT_RE.match(token) or token[0].isdigit():
+def is_identifier(token: str) -> bool:
+    """The format's identifier rule: an ASCII letter or underscore, then
+    ASCII letters, digits or underscores."""
+    return token.isascii() and token.isidentifier()
+
+
+def _check_ident(token: str, what: str, line_no: int | None = None) -> str:
+    if not is_identifier(token):
         raise ParseError(f"invalid {what} {token!r}", line_no)
     return token
 
@@ -228,23 +232,34 @@ def _parse_ordertype(token: str, arity: int, line_no: int) -> tuple[int, ...]:
     return ranks
 
 
-def _parse_tournament(token: str, line_no: int):
+def _parse_tournament(token: str, line_no: int) -> Digraph:
+    try:
+        return _tournament(token)
+    except ParseError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
+@lru_cache(maxsize=256)
+def _tournament(token: str) -> Digraph:
+    """The tournament a ``forbid`` token names; a Digraph is frozen, so one
+    parse serves every line that repeats the token.  Errors carry no line
+    and are not cached."""
     from .theories import Digraph
 
     arcs = set()
     vertices = set()
     for arc in token.split(","):
         if ">" not in arc:
-            raise ParseError(f"bad tournament arc {arc!r}", line_no)
+            raise ParseError(f"bad tournament arc {arc!r}")
         a, b = arc.split(">", 1)
         a, b = a.strip(), b.strip()
-        _check_ident(a, "vertex", line_no)
-        _check_ident(b, "vertex", line_no)
+        _check_ident(a, "vertex")
+        _check_ident(b, "vertex")
         arcs.add((a, b))
         vertices.update((a, b))
     graph = Digraph(tuple(sorted(vertices)), frozenset(arcs))
     if not graph.is_tournament():
-        raise ParseError(f"{token!r} is not a tournament", line_no)
+        raise ParseError(f"{token!r} is not a tournament")
     return graph
 
 
@@ -255,6 +270,12 @@ def parse_problem(text: str) -> Problem:
     theories: dict[str, TheorySolver] = {}
     symbols: dict[tuple[str, str], RelationSymbol] = {}
     atoms: list[Atom] = []
+    names: set[str] = set()  # variable names already checked
+
+    def variable(token: str, line_no: int) -> str:
+        if token not in names:
+            names.add(_check_ident(token, "variable", line_no))
+        return token
 
     def declare(tid: str, name: str, arity: int, line_no: int,
                 semantics=None) -> None:
@@ -349,7 +370,7 @@ def parse_problem(text: str) -> Problem:
             key = (tid, name)
             if key not in symbols:
                 raise ParseError(f"undeclared relation {tid}.{name}", line_no)
-            args = [_check_ident(t, "variable", line_no) for t in tokens[3:]]
+            args = [variable(t, line_no) for t in tokens[3:]]
             symbol = symbols[key]
             if len(args) != symbol.arity:
                 raise ParseError(
@@ -361,8 +382,8 @@ def parse_problem(text: str) -> Problem:
         elif head in (EQ, NEQ):
             if len(tokens) != 3:
                 raise ParseError(f"{head} needs exactly two variables", line_no)
-            x = _check_ident(tokens[1], "variable", line_no)
-            y = _check_ident(tokens[2], "variable", line_no)
+            x = variable(tokens[1], line_no)
+            y = variable(tokens[2], line_no)
             atoms.append(eq(x, y) if head == EQ else neq(x, y))
 
         else:

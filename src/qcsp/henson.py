@@ -10,13 +10,12 @@ exactly when a disequality joins two labeled components.
 from __future__ import annotations
 
 from .formulas import (
-    NEQ,
     REL,
     Atom,
     Instance,
     RelationSymbol,
     UnionFind,
-    collapse_equalities,
+    collapse_equalities,  # bound here for perfbench/spans.py's tracer
     make_instance,
     neq,
 )
@@ -24,8 +23,11 @@ from .theories import (
     HensonWitness,
     SolveResult,
     WitnessCheckFailed,
+    arcs_consistent,
     check_relations,
-    henson_decide,
+    henson_decide,  # bound here for perfbench/spans.py's tracer
+    henson_graph,
+    prepare_tournaments,
 )
 
 DEFAULT_E = RelationSymbol("t1", "E", 2)
@@ -67,16 +69,10 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     components is a contradiction; everything else is satisfiable.
     """
     check_relations(inst, "henson_b1")
-    collapsed, var_map = collapse_equalities(inst)
-    arcs = []
-    neqs = []
-    for atom in collapsed.atoms:
-        if atom.kind == NEQ:
-            if atom.args[0] == atom.args[1]:
-                return SolveResult(False)
-            neqs.append(atom.args)
-        elif atom.kind == REL:
-            arcs.append(atom.args)
+    graph = henson_graph(inst)
+    if graph is None:
+        return SolveResult(False)
+    var_map, arcs, neqs = graph
 
     # a class whose every atom is an equality is a component of its own
     reps = sorted(set(var_map.values()))
@@ -87,16 +83,11 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     comp_of = {
         v: index.setdefault(r, len(index)) for v, r in components.mapping().items()
     }
-    n_comps = len(index)
-    comp_atoms: list[list[Atom]] = [[] for _ in range(n_comps)]
-    for atom in collapsed.atoms:
-        if atom.kind == REL:
-            comp_atoms[comp_of[atom.args[0]]].append(atom)
-
-    labeled = [
-        not henson_decide(make_instance(atoms), forbidden).sat
-        for atoms in comp_atoms
-    ]
+    comp_arcs: list[set[tuple[str, str]]] = [set() for _ in index]
+    for arc in arcs:
+        comp_arcs[comp_of[arc[0]]].add(arc)
+    prepared = prepare_tournaments(forbidden)
+    labeled = [not arcs_consistent(own, prepared) for own in comp_arcs]
 
     for x, y in neqs:
         if labeled[comp_of[x]] and labeled[comp_of[y]]:

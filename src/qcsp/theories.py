@@ -27,7 +27,7 @@ from .formulas import (
     Atom,
     Instance,
     UnionFind,
-    collapse_equalities,
+    collapse_equalities,  # bound here for perfbench/spans.py's tracer
 )
 
 LT_BIT = 1
@@ -523,6 +523,13 @@ def temporal_decide(
 def prepare_tournaments(
     forbidden: Iterable[Digraph],
 ) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The tournaments as the embedding kernel takes them, each set computed
+    once while it stays in a small cache."""
+    return _prepared(tuple(forbidden))
+
+
+@lru_cache(maxsize=64)
+def _prepared(forbidden: tuple[Digraph, ...]):
     prepared = []
     for t in forbidden:
         order = {v: i for i, v in enumerate(t.vertices)}
@@ -532,15 +539,44 @@ def prepare_tournaments(
     return tuple(prepared)
 
 
-def arcs_admissible(
-    variables: tuple[str, ...],
-    arcs: set[tuple[str, str]],
-    prepared_forbidden,
-) -> bool:
-    """True when a loopless digon-free digraph on these arcs omits every
-    forbidden tournament (induced match)."""
-    idx = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
+def henson_graph(
+    inst: Instance,
+) -> tuple[dict[str, str], set[tuple[str, str]], set[tuple[str, str]]] | None:
+    """Merge the ``eq`` atoms of a digraph instance without rebuilding it:
+    ``(var_map, arcs, neqs)``, where var_map sends every variable to the
+    least name of its class and arcs and neqs are over those names; None
+    when a disequality joins one class."""
+    equalities = [atom.args for atom in inst.atoms if atom.kind == EQ]
+    if equalities:
+        classes = UnionFind(inst.variables)
+        for x, y in equalities:
+            classes.union(x, y)
+        var_map = classes.mapping()
+    else:
+        var_map = {v: v for v in inst.variables}
+    arcs: set[tuple[str, str]] = set()
+    neqs: set[tuple[str, str]] = set()
+    for atom in inst.atoms:
+        if atom.kind == EQ:
+            continue
+        pair = (var_map[atom.args[0]], var_map[atom.args[1]])
+        if atom.kind == REL:
+            arcs.add(pair)
+        elif pair[0] == pair[1]:
+            return None
+        else:
+            neqs.add(pair)
+    return var_map, arcs, neqs
+
+
+def arcs_consistent(arcs: set[tuple[str, str]], prepared_forbidden) -> bool:
+    """True when the digraph on these arcs has no loop and no digon and
+    omits every forbidden tournament (induced match)."""
+    for a, b in arcs:
+        if a == b or (b, a) in arcs:
+            return False
+    idx = {v: i for i, v in enumerate(sorted({v for arc in arcs for v in arc}))}
+    n = len(idx)
     adj = bytearray(n * n)
     for a, b in arcs:
         adj[idx[a] * n + idx[b]] = 1
@@ -550,29 +586,16 @@ def arcs_admissible(
 def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     """Satisfiability over the homogeneous digraph omitting the given
     tournaments.  The age is loopless and digon-free, so an instance is
-    unsatisfiable exactly when a collapse yields a reflexive disequality, a
-    loop, a digon, or an embedded forbidden tournament.  Facts: variables
-    collapsed onto one vertex are equal; the ends of an arc, in either
-    direction, and of a disequality are distinct."""
+    unsatisfiable exactly when merging its equalities yields a reflexive
+    disequality, a loop, a digon, or an embedded forbidden tournament.
+    Facts: variables merged onto one vertex are equal; the ends of an arc,
+    in either direction, and of a disequality are distinct."""
     check_relations(inst, "henson")
-    collapsed, var_map = collapse_equalities(inst)
-    arcs: set[tuple[str, str]] = set()
-    neqs: set[tuple[str, str]] = set()
-    for atom in collapsed.atoms:
-        if atom.kind == NEQ:
-            if atom.args[0] == atom.args[1]:
-                return UNSAT
-            neqs.add(atom.args)
-        if atom.kind == REL:
-            a, b = atom.args
-            if a == b:
-                return UNSAT
-            arcs.add((a, b))
-    for a, b in arcs:
-        if (b, a) in arcs:
-            return UNSAT
-    prepared = prepare_tournaments(forbidden)
-    if not arcs_admissible(collapsed.variables, arcs, prepared):
+    graph = henson_graph(inst)
+    if graph is None:
+        return UNSAT
+    var_map, arcs, neqs = graph
+    if not arcs_consistent(arcs, prepare_tournaments(forbidden)):
         return UNSAT
     # every input variable goes to its class representative's vertex
     witness = HensonWitness(assignment=var_map, arcs=frozenset(arcs))
@@ -632,14 +655,9 @@ def check_henson_witness(forbidden, inst: Instance, witness: HensonWitness) -> b
                 return False
             if (a, b) not in witness.arcs:
                 return False
-    vertices = tuple(sorted({v for arc in witness.arcs for v in arc}))
-    for a, b in witness.arcs:
-        if a == loop or b == loop or a == b:
-            return False
-        if (b, a) in witness.arcs:
-            return False
-    prepared = prepare_tournaments(forbidden)
-    return arcs_admissible(vertices, set(witness.arcs), prepared)
+    if any(loop in arc for arc in witness.arcs):
+        return False
+    return arcs_consistent(witness.arcs, prepare_tournaments(forbidden))
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,21 @@ def test_cross_check_rejects_bad_free_variables(free, capsys):
     assert "parse error:" in err
 
 
+@pytest.mark.parametrize("name", ["1x", "x-y", "\u00e9"])
+def test_solve_and_cross_check_share_the_identifier_rule(name, tmp_path, capsys):
+    path = tmp_path / "bad_name.qcsp"
+    path.write_text(f"theory t1 equality\neq {name} b\n", encoding="utf-8")
+    code, out, err = run_cli("solve", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "parse error: line 2: invalid variable" in err
+    code, out, err = run_cli(
+        "cross-check", str(FIXTURES / "cross_formula.qcsp"), "--free", f"x,y,u,{name}",
+        capsys=capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "invalid free variable" in err
+
+
 def test_probe_command_small(capsys):
     code, out, _ = run_cli(
         "probe-convexity", str(FIXTURES / "temporal_sig.qcsp"),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qcsp import formulas, theories
 from qcsp.formulas import (
     Atom,
     ParseError,
@@ -89,6 +90,31 @@ def test_parse_henson_tournaments():
 def test_parse_rejects_non_tournament():
     with pytest.raises(ParseError):
         parse_problem("theory t1 henson forbid a>b,b>a\n")
+
+
+@pytest.mark.parametrize("line_no", [1, 3])
+def test_bad_tournament_token_reports_its_own_line(line_no):
+    # the same bad token must report the line it is on, even once a parse
+    # of that token has been attempted before
+    bad = "theory t1 henson forbid a>b,b>a\n"
+    text = "# padding\n" * (line_no - 1) + bad
+    for _ in range(2):
+        with pytest.raises(ParseError, match=f"^line {line_no}: ") as info:
+            parse_problem(text)
+        assert info.value.line_no == line_no
+
+
+def test_repeated_forbid_line_parses_to_equal_tournaments():
+    text = "theory t1 henson forbid a>b,b>c,c>a;a>b,a>c,b>c\n"
+    first = parse_problem(text).theories["t1"].forbidden
+    second = parse_problem(text).theories["t1"].forbidden
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+def test_tournament_caches_are_bounded():
+    assert formulas._tournament.cache_info().maxsize is not None
+    assert theories._prepared.cache_info().maxsize is not None
 
 
 def test_parse_unknown_directive():

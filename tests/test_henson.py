@@ -3,12 +3,18 @@
 import random
 from itertools import combinations
 
-from qcsp.combine import CombinedProblem, solve_complete
+from qcsp import combine
+from qcsp.combine import CombinedProblem, combined_problem, solve_complete
 from qcsp.formulas import (
+    NEQ,
+    REL,
     RelationSymbol,
+    UnionFind,
+    collapse_equalities,
     eq,
     make_instance,
     neq,
+    parse_problem,
     rel,
     split_by_signature,
 )
@@ -18,11 +24,22 @@ from qcsp.henson import (
     fresh_loop_variable,
 )
 from qcsp.oracle import superpose_bruteforce
-from qcsp.theories import Digraph, TheorySolver, check_henson_witness, henson_decide
+from qcsp.theories import (
+    Digraph,
+    HensonWitness,
+    SolveResult,
+    TheorySolver,
+    check_henson_witness,
+    henson_decide,
+)
 
 E = RelationSymbol("t1", "E", 2)
 C3 = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
 T3 = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("a", "c"), ("b", "c")}))
+T4 = Digraph(
+    ("a", "b", "c", "d"),
+    frozenset({("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")}),
+)
 
 B1_SOLVERS = {
     "t1": TheorySolver("t1", "henson_b1", False, forbidden=(C3,)),
@@ -207,3 +224,81 @@ def test_component_label_matches_superposition_sampled():
             left = component_label_solve(problem.instance, (C3,)).sat
             right = superpose_bruteforce(problem).sat
             assert left == right == solve_complete(problem).sat
+
+
+def _component_label_by_decides(inst, forbidden) -> SolveResult:
+    """Component labeling as first written: collapse the instance, then
+    label a component when ``henson_decide`` rejects an instance of its
+    arcs alone.  The reference for the arc-set check that replaced it."""
+    collapsed, var_map = collapse_equalities(inst)
+    arcs, neqs = [], []
+    for atom in collapsed.atoms:
+        if atom.kind == NEQ:
+            if atom.args[0] == atom.args[1]:
+                return SolveResult(False)
+            neqs.append(atom.args)
+        elif atom.kind == REL:
+            arcs.append(atom.args)
+    reps = sorted(set(var_map.values()))
+    components = UnionFind(reps)
+    for a, b in arcs:
+        components.union(a, b)
+    index: dict[str, int] = {}
+    comp_of = {
+        v: index.setdefault(r, len(index)) for v, r in components.mapping().items()
+    }
+    comp_atoms = [[] for _ in index]
+    for atom in collapsed.atoms:
+        if atom.kind == REL:
+            comp_atoms[comp_of[atom.args[0]]].append(atom)
+    labeled = [
+        not henson_decide(make_instance(atoms), forbidden).sat for atoms in comp_atoms
+    ]
+    for x, y in neqs:
+        if labeled[comp_of[x]] and labeled[comp_of[y]]:
+            return SolveResult(False)
+    assignment = {}
+    for v in reps:
+        assignment[v] = "a" if labeled[comp_of[v]] else f"n_{v}"
+    witness_arcs = {
+        (assignment[a], assignment[b]) for a, b in arcs if not labeled[comp_of[a]]
+    }
+    for original, rep in var_map.items():
+        assignment[original] = assignment[rep]
+    loop = "a" if any(labeled) else None
+    return SolveResult(True, HensonWitness(assignment, frozenset(witness_arcs), loop))
+
+
+def test_component_label_matches_labeling_by_decides():
+    rng = random.Random(2024)
+    forbidden_sets = [(C3,), (T4,), (C3, T4)]
+    sat = 0
+    for trial in range(2000):
+        names = [f"x{i}" for i in range(rng.randint(3, 6))]
+        atoms = [rel(E, rng.choice(names), rng.choice(names))
+                 for _ in range(rng.randint(0, 9))]  # loops and digons included
+        for _ in range(rng.randint(0, 2)):
+            atoms.append(eq(*rng.sample(names, 2)))
+        for _ in range(rng.randint(0, 3)):
+            atoms.append(neq(*rng.sample(names, 2)))
+        inst = make_instance(atoms)
+        forbidden = forbidden_sets[trial % 3]
+        result = component_label_solve(inst, forbidden)
+        assert result == _component_label_by_decides(inst, forbidden)
+        if result.sat:
+            sat += 1
+            assert check_henson_witness(forbidden, inst, result.witness)
+    assert 0 < sat < 2000
+
+
+def test_single_part_root_decide_builds_no_instance(monkeypatch):
+    problem = combined_problem(parse_problem(
+        "theory t1 henson forbid a>b,b>c,c>a\n"
+        "atom t1 E x y\natom t1 E y z\nneq x z\n"
+    ))
+
+    def no_rebuild(atoms):
+        raise AssertionError("make_instance called")
+
+    monkeypatch.setattr(combine, "make_instance", no_rebuild)
+    assert solve_complete(problem).sat
