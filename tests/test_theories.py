@@ -1,6 +1,7 @@
 """Per-theory solvers: worked examples, witness replay, monotonicity, and
 agreement with the brute-force enumerations."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from qcsp.theories import (
     KINDS,
     ContractViolation,
     Digraph,
+    HensonWitness,
     TheorySolver,
     WitnessCheckFailed,
     builtin_mi,
@@ -505,6 +507,56 @@ def test_registered_kind_decides_and_replays(kind):
     assert brute_decide_theory(
         kind, inst, relations=solver.relations, forbidden=solver.forbidden
     ).sat
+
+
+# Replay rejections: the relational, eq and neq atoms of each instance below
+# use disjoint variables (the loop variable x aside), so each edit of its
+# witness breaks exactly one atom
+REPLAY_RELATIONAL = {
+    "equality": [],
+    "point_algebra": [rel(LT, "a", "b")],
+    "temporal": [rel(MI, "a", "b", "g")],
+    "henson": [rel(E, "a", "b")],
+    "henson_b1": [rel(E, "a", "b"), rel(E, "x", "x")] + [neq("x", v) for v in "abcdef"],
+}
+
+
+def _with_values(witness, values):
+    if isinstance(witness, HensonWitness):
+        return dataclasses.replace(witness, assignment=values)
+    return values
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SOLVERS))
+def test_replay_rejects_a_witness_that_breaks_an_atom(kind):
+    solver = KIND_SOLVERS[kind]
+    inst = make_instance(REPLAY_RELATIONAL[kind] + [eq("c", "d"), neq("e", "f")])
+    result = solver.decide(inst)
+    assert result.sat
+    witness = result.witness
+    assert check_part_witness(solver, inst, witness)
+    values = dict(witness_values(witness))
+    fresh = "fresh" if isinstance(witness, HensonWitness) else max(values.values()) + 1
+    # the ends of the eq atom apart, the ends of the neq atom together, or
+    # one variable without a value
+    edits = [{**values, "d": fresh}, {**values, "f": values["e"]}]
+    edits += [{u: x for u, x in values.items() if u != v} for v in inst.variables]
+    for edited in edits:
+        assert not check_part_witness(solver, inst, _with_values(witness, edited)), edited
+    if not isinstance(witness, HensonWitness):
+        return
+    arc = (values["a"], values["b"])
+    assert arc in witness.arcs
+    broken = [dataclasses.replace(witness, arcs=witness.arcs - {arc})]
+    loop = witness.loop_vertex
+    if kind == "henson_b1":
+        assert loop is not None
+        broken += [
+            dataclasses.replace(witness, arcs=witness.arcs | {touching})
+            for touching in ((loop, values["a"]), (values["c"], loop))
+        ]
+    for edited in broken:
+        assert not check_part_witness(solver, inst, edited), edited
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_SOLVERS))
