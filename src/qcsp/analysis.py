@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .formulas import Atom, Instance, PPFormula, REL, RelationSymbol, eq, make_instance, neq
-from .oracle import brute_decide_theory
+from .oracle import BoundExceeded, brute_decide_theory
 from .theories import KINDS, SolveResult, TheorySolver, WitnessCheckFailed
 
 EXHAUSTIVE_MAX_VARS = 5
@@ -109,7 +109,6 @@ def _verified_witness(
 
 def probe_convexity(
     solver: TheorySolver,
-    relations: Sequence[tuple[str, int]] | None = None,
     max_vars: int = 4,
     max_atoms: int = 4,
     mode: str = "exhaustive",
@@ -122,17 +121,17 @@ def probe_convexity(
     the oracle); None proves nothing.  Exhaustive mode enumerates instances
     by variable count, then atom subsets of the canonical universe in
     lexicographic order, then disequality pair choices lexicographically, so
-    the first witness is reproducible.
+    the first witness is reproducible.  A limit out of range raises
+    BoundExceeded.
     """
     if max_vars < 2:
-        raise ValueError(f"probe needs max_vars >= 2, got {max_vars}")
+        raise BoundExceeded(f"probe needs max_vars >= 2, got {max_vars}")
     if max_atoms < 1:
-        raise ValueError(f"probe needs max_atoms >= 1, got {max_atoms}")
-    if relations is None:
-        relations = probe_relations(solver)
+        raise BoundExceeded(f"probe needs max_atoms >= 1, got {max_atoms}")
+    relations = probe_relations(solver)
     if mode == "exhaustive":
         if max_vars > EXHAUSTIVE_MAX_VARS or max_atoms > EXHAUSTIVE_MAX_ATOMS:
-            raise ValueError(
+            raise BoundExceeded(
                 f"exhaustive probe caps: {EXHAUSTIVE_MAX_VARS} vars, "
                 f"{EXHAUSTIVE_MAX_ATOMS} atoms"
             )
@@ -155,9 +154,9 @@ def probe_convexity(
         return None
     if mode == "random":
         if count < 1:
-            raise ValueError(f"random probe needs count >= 1, got {count}")
+            raise BoundExceeded(f"random probe needs count >= 1, got {count}")
         if max_vars > len(_VAR_NAMES):
-            raise ValueError(
+            raise BoundExceeded(
                 f"random probe needs max_vars <= {len(_VAR_NAMES)}, got {max_vars}"
             )
         rng = random.Random(seed)

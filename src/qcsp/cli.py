@@ -31,6 +31,7 @@ from .formulas import (
     RelationSymbol,
     is_identifier,
     parse_problem,
+    render_atom,
     render_problem,
 )
 from .henson import build_s_star, component_label_solve
@@ -42,6 +43,14 @@ EXIT_PARSE = 2
 EXIT_MODE = 3
 EXIT_BOUND = 4
 EXIT_INTERNAL = 5
+
+# The errors a command may raise: the prefix of each message and its exit code.
+ERRORS = {
+    ParseError: ("parse error", EXIT_PARSE),
+    ConvexityNotDeclared: ("mode error", EXIT_MODE),
+    BoundExceeded: ("bound error", EXIT_BOUND),
+    WitnessCheckFailed: ("internal error", EXIT_INTERNAL),
+}
 
 
 def _load(path: str) -> Problem:
@@ -68,25 +77,13 @@ def _print_witness(problem: CombinedProblem, result: SolveResult) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = _load(args.file)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    combined = combined_problem(problem)
-    try:
-        if args.mode == "convex":
-            result = solve_convex(combined)
-        elif args.mode == "complete":
-            result = solve_complete(combined)
-        else:
-            result = solve_auto(combined)
-    except ConvexityNotDeclared as exc:
-        print(f"mode error: {exc}", file=sys.stderr)
-        return EXIT_MODE
-    except BoundExceeded as exc:
-        print(f"bound error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+    combined = combined_problem(_load(args.file))
+    if args.mode == "convex":
+        result = solve_convex(combined)
+    elif args.mode == "complete":
+        result = solve_complete(combined)
+    else:
+        result = solve_auto(combined)
     if result.sat and not check_combined_witness(combined, result):
         raise WitnessCheckFailed("the SAT witness does not replay against the input")
     print(result.verdict)
@@ -96,17 +93,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        problem = _load(args.file)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    combined = combined_problem(problem)
-    try:
-        result = superpose_bruteforce(combined)
-    except BoundExceeded as exc:
-        print(f"bound error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+    combined = combined_problem(_load(args.file))
+    result = superpose_bruteforce(combined)
     print(result.verdict)
     return EXIT_OK
 
@@ -118,34 +106,22 @@ def _single_solver(problem: Problem) -> TheorySolver:
 
 
 def cmd_probe(args) -> int:
-    try:
-        problem = _load(args.file)
-        solver = _single_solver(problem)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    solver = _single_solver(_load(args.file))
     mode = "random" if args.random is not None else "exhaustive"
-    try:
-        witness = probe_convexity(
-            solver,
-            max_vars=args.max_vars,
-            max_atoms=args.max_atoms,
-            mode=mode,
-            count=args.random or 0,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"bound error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+    witness = probe_convexity(
+        solver,
+        max_vars=args.max_vars,
+        max_atoms=args.max_atoms,
+        mode=mode,
+        count=args.random or 0,
+        seed=args.seed,
+    )
     if witness is None:
         print("none")
         return EXIT_OK
     print("witness")
     for atom in witness.instance.sorted_atoms():
-        if atom.kind == REL:
-            print(f"atom {atom.symbol.theory_id} {atom.symbol.name} " + " ".join(atom.args))
-        else:
-            print(f"{atom.kind} {atom.args[0]} {atom.args[1]}")
+        print(render_atom(atom))
     print(f"pair1 {witness.pair1[0]} {witness.pair1[1]}")
     print(f"pair2 {witness.pair2[0]} {witness.pair2[1]}")
     print(
@@ -168,13 +144,9 @@ def _free_variables(text: str) -> tuple[str, ...]:
 
 
 def cmd_cross(args) -> int:
-    try:
-        problem = _load(args.file)
-        solver = _single_solver(problem)
-        free = _free_variables(args.free)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = _load(args.file)
+    solver = _single_solver(problem)
+    free = _free_variables(args.free)
     existential = frozenset(set(problem.instance.variables) - set(free))
     formula = PPFormula(free, existential, problem.instance.atoms)
     report = check_cross_prevention(solver, formula)
@@ -202,12 +174,8 @@ def _henson_context(problem: Problem) -> TheorySolver:
 
 
 def cmd_henson(args) -> int:
-    try:
-        problem = _load(args.file)
-        solver = _henson_context(problem)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = _load(args.file)
+    solver = _henson_context(problem)
     tid = solver.theory_id
     if args.action == "reduce-up":
         symbol = problem.symbols.get((tid, "E"), RelationSymbol(tid, "E", 2))
@@ -272,9 +240,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
-    except WitnessCheckFailed as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        code = EXIT_INTERNAL
+    except tuple(ERRORS) as exc:
+        prefix, code = next(v for cls, v in ERRORS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
     if argv is None:
         sys.exit(code)
     return code

@@ -20,20 +20,22 @@ its witness already satisfies the part's extended instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
 from .formulas import (
     EQ,
     NEQ,
-    REL,
     Atom,
     Instance,
     Problem,
     UnionFind,
-    collapse_equalities,
+    collapse_equalities,  # bound here for perfbench/spans.py's tracer
     eq,
     make_instance,
+    merge_equalities,
     neq,
+    realizes,
     split_by_signature,
 )
 from .theories import SolveResult, TheorySolver, witness_values
@@ -74,10 +76,8 @@ def combined_problem(problem: Problem) -> CombinedProblem:
 def _neutral_atoms_consistent(instance: Instance) -> bool:
     """Every part's decide rejects a reflexive disequality of its copy of the
     Eq/Neq atoms, but a problem with no theories has no part; check here."""
-    collapsed, _ = collapse_equalities(instance)
-    return not any(
-        a.kind == NEQ and a.args[0] == a.args[1] for a in collapsed.atoms
-    )
+    _, _, neqs = merge_equalities(instance)
+    return all(x != y for x, y in neqs)
 
 
 def propagate_step(
@@ -102,6 +102,20 @@ def propagate_step(
         results.update(decided)
     if not ok:
         return None
+    return {
+        eq(x, y)
+        for x, y in sorted(_tied_pairs(contexts, shared, rep))
+        if _entailed_by_a_part(problem, contexts, x, y)
+    }
+
+
+def _tied_pairs(
+    contexts: Mapping[str, _Context], shared: list[str], rep: Mapping[str, str]
+) -> set[tuple[str, str]]:
+    """The pairs of shared variables in distinct classes of rep that some
+    part's witness gives one value, each in the order of ``shared``.  Only
+    these can be entailed equal: a part entails nothing its witness
+    refutes."""
     tied: set[tuple[str, str]] = set()
     for ctx in contexts.values():
         by_value: dict[object, list[str]] = {}
@@ -109,13 +123,9 @@ def propagate_step(
             if v in ctx.values:
                 by_value.setdefault(ctx.values[v], []).append(v)
         for group in by_value.values():
-            for i, u in enumerate(group):
-                tied.update((u, v) for v in group[i + 1 :] if rep[u] != rep[v])
-    return {
-        eq(x, y)
-        for x, y in sorted(tied)
-        if _entailed_by_a_part(problem, contexts, x, y)
-    }
+            if len(group) > 1:
+                tied.update((u, v) for u, v in combinations(group, 2) if rep[u] != rep[v])
+    return tied
 
 
 class _Context(NamedTuple):
@@ -164,7 +174,7 @@ def _decide_parts(
         else:
             merged = part  # no decisions: the part is its own instance
         base = bases.get(tid)
-        if base is not None and base.sat and _realizes(
+        if base is not None and base.sat and realizes(
             witness_values(base.witness), merged
         ):
             result = base
@@ -178,15 +188,6 @@ def _decide_parts(
         if not result.sat:
             return False, results, contexts
     return True, results, contexts
-
-
-def _realizes(values: Mapping[str, object], instance: Instance) -> bool:
-    """Whether witness values cover the instance and meet its eq/neq atoms."""
-    return values.keys() >= set(instance.variables) and all(
-        (values[a.args[0]] == values[a.args[1]]) == (a.kind == EQ)
-        for a in instance.atoms
-        if a.kind != REL
-    )
 
 
 def _entailed_by_a_part(
@@ -302,8 +303,9 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
 
     Depth first over an explicit stack of decisions: equalities merged so far
     and representative pairs decided apart.  Each node decides every part
-    and then, in this order, merges in place a pair some part entails equal,
-    or decides apart every undecided pair some part reported distinct, or
+    and then, in this order, merges in place a pair some part entails equal
+    (the first in pair order among those some part's witness ties), or
+    decides apart every undecided pair some part reported distinct, or
     branches on the first undecided pair, the equal branch first.
 
     The search returns the least accepted arrangement in pair order, equal
@@ -332,7 +334,8 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
         pending = _undecided_pairs(rep, distinct, shared)
         if not pending:
             return _sat(_blocks(rep, shared), results)
-        forced = _first_entailed(problem, contexts, pending)
+        tied = _tied_pairs(contexts, shared, rep)
+        forced = _first_entailed(problem, contexts, [p for p in pending if p in tied])
         if forced is not None:
             stack.append((merges | {eq(*forced)}, distinct, results))
             continue

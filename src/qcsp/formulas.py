@@ -2,16 +2,16 @@
 
 An instance is a finite conjunction of theory-tagged relational atoms plus
 theory-neutral equality/disequality atoms over named variables.  This module
-also owns the two structural operations every solver path relies on:
-collapsing equality atoms by substitution and splitting an instance into
-per-theory parts for combination.
+also owns the structural operations every solver path relies on: merging
+the equality atoms, checking values against the equality/disequality atoms
+and splitting an instance into per-theory parts for combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .theories import Digraph, TheorySolver
@@ -117,6 +117,48 @@ class UnionFind:
         return {v: find(v) for v in self.parent}
 
 
+def merge_equalities(inst: Instance) -> tuple[
+    dict[str, str], dict[RelationSymbol, set[tuple[str, ...]]], set[tuple[str, str]]
+]:
+    """Merge the Eq atoms of an instance by one union-find, without
+    rebuilding it: ``(var_map, rels, neqs)``, where var_map sends every
+    variable to the least name of its class, and rels (each relation
+    symbol's argument tuples) and neqs (the Neq argument pairs) are over
+    those names.  A pair ``(v, v)`` in neqs is a disequality inside one
+    class."""
+    equalities = [atom.args for atom in inst.atoms if atom.kind == EQ]
+    if equalities:
+        classes = UnionFind(inst.variables)
+        for x, y in equalities:
+            classes.union(x, y)
+        var_map = classes.mapping()
+    else:
+        var_map = {v: v for v in inst.variables}
+    rels: dict[RelationSymbol, set[tuple[str, ...]]] = {}
+    neqs: set[tuple[str, str]] = set()
+    for kind, symbol, args in inst.atoms:
+        if kind == EQ:
+            continue
+        if equalities and len(args) == 2:  # most atoms: a pair builds faster
+            args = (var_map[args[0]], var_map[args[1]])
+        elif equalities:
+            args = tuple([var_map[v] for v in args])
+        if kind == NEQ:
+            neqs.add(args)
+        else:
+            rels.setdefault(symbol, set()).add(args)
+    return var_map, rels, neqs
+
+
+def realizes(values: Mapping[str, object], inst: Instance) -> bool:
+    """Whether values cover the instance's variables and meet its Eq/Neq atoms."""
+    return values.keys() >= set(inst.variables) and all(
+        (values[a.args[0]] == values[a.args[1]]) == (a.kind == EQ)
+        for a in inst.atoms
+        if a.kind != REL
+    )
+
+
 def collapse_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
     """Remove all Eq atoms by substituting each equality class with its
     lexicographically least member.
@@ -126,23 +168,11 @@ def collapse_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
     Neq(v, v); solvers treat it as unsatisfiable.  Without Eq atoms the
     instance itself is returned: ``neq`` already orders its arguments.
     """
-    equalities = [atom for atom in inst.atoms if atom.kind == EQ]
-    if not equalities:
-        return inst, {v: v for v in inst.variables}
-    classes = UnionFind(inst.variables)
-    for atom in equalities:
-        classes.union(*atom.args)
-
-    var_map = classes.mapping()
-    out: set[Atom] = set()
-    for atom in inst.atoms:
-        if atom.kind == EQ:
-            continue
-        mapped = tuple(var_map[v] for v in atom.args)
-        if atom.kind == REL:
-            out.add(Atom(REL, atom.symbol, mapped))
-        else:
-            out.add(neq(*mapped))
+    var_map, rels, neqs = merge_equalities(inst)
+    if all(atom.kind != EQ for atom in inst.atoms):
+        return inst, var_map
+    out = [Atom(REL, symbol, args) for symbol, tuples in rels.items() for args in tuples]
+    out += [neq(*pair) for pair in neqs]
     return make_instance(out), var_map
 
 
@@ -163,8 +193,11 @@ def split_by_signature(
         if tid not in by_theory:
             raise ValueError(f"atom references undeclared theory {tid!r}")
         by_theory[tid].append(atom)
+    # a part that holds every atom of the instance is the instance itself
     parts = {
-        tid: make_instance(by_theory[tid] + neutral) for tid in theory_ids
+        tid: inst if len(by_theory[tid]) + len(neutral) == len(inst)
+        else make_instance(by_theory[tid] + neutral)
+        for tid in theory_ids
     }
     seen: set[str] = set()
     shared: set[str] = set()
@@ -414,11 +447,12 @@ def render_problem(problem: Problem) -> str:
                 "/".join(str(r) for r in ranks) for ranks in sorted(relation.allowed)
             )
             lines.append(f"relation {tid} {name}/{relation.arity} ordertypes {ots}")
-    for atom in problem.instance.sorted_atoms():
-        if atom.kind == REL:
-            lines.append(
-                f"atom {atom.symbol.theory_id} {atom.symbol.name} " + " ".join(atom.args)
-            )
-        else:
-            lines.append(f"{atom.kind} {atom.args[0]} {atom.args[1]}")
+    lines += map(render_atom, problem.instance.sorted_atoms())
     return "\n".join(lines) + "\n"
+
+
+def render_atom(atom: Atom) -> str:
+    """One atom as a line of the instance format."""
+    if atom.kind == REL:
+        return f"atom {atom.symbol.theory_id} {atom.symbol.name} " + " ".join(atom.args)
+    return f"{atom.kind} {atom.args[0]} {atom.args[1]}"

@@ -17,6 +17,7 @@ from .formulas import (
     UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
     make_instance,
+    merge_equalities,
     neq,
 )
 from .theories import (
@@ -26,7 +27,6 @@ from .theories import (
     arcs_consistent,
     check_relations,
     henson_decide,  # bound here for perfbench/spans.py's tracer
-    henson_graph,
     prepare_tournaments,
 )
 
@@ -69,10 +69,10 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     components is a contradiction; everything else is satisfiable.
     """
     check_relations(inst, "henson_b1")
-    graph = henson_graph(inst)
-    if graph is None:
+    var_map, rels, neqs = merge_equalities(inst)
+    if any(x == y for x, y in neqs):
         return SolveResult(False)
-    var_map, arcs, neqs = graph
+    arcs = set().union(*rels.values())
 
     # a class whose every atom is an equality is a component of its own
     reps = sorted(set(var_map.values()))

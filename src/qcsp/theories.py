@@ -6,10 +6,10 @@ temporal (relations given extensionally as sets of allowed order types),
 henson (digraphs omitting a fixed set of finite tournaments) and henson_b1
 (the same digraphs plus one loop vertex, used by the reduction machinery).
 Each record holds the relations the kind fixes, its decide and its witness
-replay.  Every decide rewrites the ``eq`` atoms of its instance itself, so
-on SAT it returns a replayable witness over every variable of the instance
-and, keyed by those same names, the (dis)equalities it can read off its own
-fixpoint.
+replay.  Every decide merges the ``eq`` atoms of its instance itself (all
+but temporal by ``formulas.merge_equalities``), so on SAT it returns a
+replayable witness over every variable of the instance and, keyed by those
+same names, the (dis)equalities it can read off its own fixpoint.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .formulas import (
     REL,
     Atom,
     Instance,
-    UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
+    merge_equalities,
+    realizes,
 )
 
 LT_BIT = 1
@@ -192,25 +193,12 @@ def eq_decide(inst: Instance) -> SolveResult:
     """Equality theory over an infinite domain: UNSAT iff a disequality links
     one equality class to itself."""
     check_relations(inst, "equality")
-    uf = UnionFind(inst.variables)
-    for atom in inst.atoms:
-        if atom.kind == EQ:
-            uf.union(*atom.args)
-    rep_of = uf.mapping()
-    apart: set[tuple[str, str]] = set()
-    for atom in inst.atoms:
-        if atom.kind == NEQ:
-            a, b = rep_of[atom.args[0]], rep_of[atom.args[1]]
-            if a == b:
-                return UNSAT
-            apart.add((a, b))
-    classes: dict[str, list[str]] = {}
-    for v in inst.variables:
-        classes.setdefault(rep_of[v], []).append(v)
-    witness: dict[str, int] = {}
-    for index, rep in enumerate(sorted(classes)):
-        for v in classes[rep]:
-            witness[v] = index
+    rep_of, _, apart = merge_equalities(inst)
+    if any(a == b for a, b in apart):
+        return UNSAT
+    # blocks are numbered in the order of their least members
+    index = {rep: i for i, rep in enumerate(sorted(set(rep_of.values())))}
+    witness = {v: index[rep] for v, rep in rep_of.items()}
     return SolveResult(True, witness, _partition_facts(rep_of, apart))
 
 
@@ -223,21 +211,16 @@ def pa_decide(inst: Instance) -> SolveResult:
     distinct when a disequality joins them or a path with a strict edge runs
     from one to the other."""
     check_relations(inst, "point_algebra")
-    uf = UnionFind(inst.variables)
-    for atom in inst.atoms:
-        if atom.kind == EQ:
-            uf.union(*atom.args)
+    rep_of, rels, neqs = merge_equalities(inst)
 
-    reps = sorted({uf.find(v) for v in inst.variables})
+    reps = sorted(set(rep_of.values()))
     succ: dict[str, set[str]] = {r: set() for r in reps}
     strict: list[tuple[str, str]] = []
-    for atom in inst.atoms:
-        if atom.kind != REL:
-            continue
-        a, b = uf.find(atom.args[0]), uf.find(atom.args[1])
-        succ[a].add(b)
-        if atom.symbol.name == "lt":
-            strict.append((a, b))
+    for symbol, pairs in rels.items():
+        for a, b in pairs:
+            succ[a].add(b)
+        if symbol.name == "lt":
+            strict += pairs
 
     comp = _tarjan_components(reps, succ)
 
@@ -247,12 +230,11 @@ def pa_decide(inst: Instance) -> SolveResult:
             return UNSAT
         strict_comps.add((comp[a], comp[b]))
     neq_comps: set[tuple[int, int]] = set()
-    for atom in inst.atoms:
-        if atom.kind == NEQ:
-            ca, cb = comp[uf.find(atom.args[0])], comp[uf.find(atom.args[1])]
-            if ca == cb:
-                return UNSAT
-            neq_comps.update(((ca, cb), (cb, ca)))
+    for a, b in neqs:
+        ca, cb = comp[a], comp[b]
+        if ca == cb:
+            return UNSAT
+        neq_comps.update(((ca, cb), (cb, ca)))
 
     # rank components along a deterministic topological order
     n_comps = max(comp.values()) + 1 if comp else 0
@@ -280,7 +262,7 @@ def pa_decide(inst: Instance) -> SolveResult:
             if indegree[d] == 0:
                 heapq.heappush(heap, (min(members[d]), d))
 
-    comp_of = {v: comp[uf.find(v)] for v in inst.variables}
+    comp_of = {v: comp[r] for v, r in rep_of.items()}
     witness = {v: rank_of_comp[c] for v, c in comp_of.items()}
     below: dict[int, set[int]] = {}
 
@@ -497,12 +479,8 @@ def temporal_decide(
     for atom, relation in resolved:
         if not relation.admits(tuple(witness[v] for v in atom.args)):
             raise WitnessCheckFailed(f"temporal witness violates {atom}")
-    for atom in inst.atoms:
-        if atom.kind == REL:
-            continue
-        same = witness[atom.args[0]] == witness[atom.args[1]]
-        if same != (atom.kind == EQ):
-            raise WitnessCheckFailed(f"temporal witness violates {atom}")
+    if not realizes(witness, inst):
+        raise WitnessCheckFailed("temporal witness violates an eq or neq atom")
     if not root:
         return SolveResult(True, witness)
     state = root[0][0]
@@ -539,36 +517,6 @@ def _prepared(forbidden: tuple[Digraph, ...]):
     return tuple(prepared)
 
 
-def henson_graph(
-    inst: Instance,
-) -> tuple[dict[str, str], set[tuple[str, str]], set[tuple[str, str]]] | None:
-    """Merge the ``eq`` atoms of a digraph instance without rebuilding it:
-    ``(var_map, arcs, neqs)``, where var_map sends every variable to the
-    least name of its class and arcs and neqs are over those names; None
-    when a disequality joins one class."""
-    equalities = [atom.args for atom in inst.atoms if atom.kind == EQ]
-    if equalities:
-        classes = UnionFind(inst.variables)
-        for x, y in equalities:
-            classes.union(x, y)
-        var_map = classes.mapping()
-    else:
-        var_map = {v: v for v in inst.variables}
-    arcs: set[tuple[str, str]] = set()
-    neqs: set[tuple[str, str]] = set()
-    for atom in inst.atoms:
-        if atom.kind == EQ:
-            continue
-        pair = (var_map[atom.args[0]], var_map[atom.args[1]])
-        if atom.kind == REL:
-            arcs.add(pair)
-        elif pair[0] == pair[1]:
-            return None
-        else:
-            neqs.add(pair)
-    return var_map, arcs, neqs
-
-
 def arcs_consistent(arcs: set[tuple[str, str]], prepared_forbidden) -> bool:
     """True when the digraph on these arcs has no loop and no digon and
     omits every forbidden tournament (induced match)."""
@@ -591,14 +539,14 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     Facts: variables merged onto one vertex are equal; the ends of an arc,
     in either direction, and of a disequality are distinct."""
     check_relations(inst, "henson")
-    graph = henson_graph(inst)
-    if graph is None:
+    var_map, rels, neqs = merge_equalities(inst)
+    if any(x == y for x, y in neqs):
         return UNSAT
-    var_map, arcs, neqs = graph
+    arcs = frozenset().union(*rels.values())
     if not arcs_consistent(arcs, prepare_tournaments(forbidden)):
         return UNSAT
     # every input variable goes to its class representative's vertex
-    witness = HensonWitness(assignment=var_map, arcs=frozenset(arcs))
+    witness = HensonWitness(assignment=var_map, arcs=arcs)
     return SolveResult(True, witness, _partition_facts(var_map, neqs, arcs))
 
 
@@ -606,27 +554,20 @@ def check_value_witness(
     solver: TheorySolver, inst: Instance, values: Mapping[str, int]
 ) -> bool:
     """Replay an integer-valued witness (blocks or ranks) against every atom."""
-    if not isinstance(values, Mapping):
+    if not isinstance(values, Mapping) or not realizes(values, inst):
         return False
     fixed = KINDS[solver.kind].relations
     for atom in inst.atoms:
-        if any(v not in values for v in atom.args):
+        if atom.kind != REL:
+            continue
+        name = atom.symbol.name
+        if fixed is not None and name not in fixed:
             return False
-        if atom.kind == EQ:
-            if values[atom.args[0]] != values[atom.args[1]]:
-                return False
-        elif atom.kind == NEQ:
-            if values[atom.args[0]] == values[atom.args[1]]:
-                return False
-        else:
-            name = atom.symbol.name
-            if fixed is not None and name not in fixed:
-                return False
-            relation = solver.relations.get(name) or relation_for_name(name)
-            if relation is None:
-                return False
-            if canonical_ranks(tuple(values[v] for v in atom.args)) not in relation.allowed:
-                return False
+        relation = solver.relations.get(name) or relation_for_name(name)
+        if relation is None:
+            return False
+        if canonical_ranks(tuple(values[v] for v in atom.args)) not in relation.allowed:
+            return False
     return True
 
 
@@ -634,27 +575,20 @@ def check_henson_witness(forbidden, inst: Instance, witness: HensonWitness) -> b
     """Replay a digraph witness: atoms hold under the assignment, the loop
     vertex (when present) is isolated from the rest, and the loopless part
     omits every forbidden tournament."""
-    if not isinstance(witness, HensonWitness):
+    if not isinstance(witness, HensonWitness) or not realizes(witness.assignment, inst):
         return False
     assignment = witness.assignment
     loop = witness.loop_vertex
     for atom in inst.atoms:
-        if any(v not in assignment for v in atom.args):
+        if atom.kind != REL:
+            continue
+        a, b = assignment[atom.args[0]], assignment[atom.args[1]]
+        if a == loop and b == loop:
+            continue  # the loop vertex carries its own edge
+        if a == loop or b == loop:
             return False
-        if atom.kind == EQ:
-            if assignment[atom.args[0]] != assignment[atom.args[1]]:
-                return False
-        elif atom.kind == NEQ:
-            if assignment[atom.args[0]] == assignment[atom.args[1]]:
-                return False
-        else:
-            a, b = assignment[atom.args[0]], assignment[atom.args[1]]
-            if a == loop and b == loop:
-                continue  # the loop vertex carries its own edge
-            if a == loop or b == loop:
-                return False
-            if (a, b) not in witness.arcs:
-                return False
+        if (a, b) not in witness.arcs:
+            return False
     if any(loop in arc for arc in witness.arcs):
         return False
     return arcs_consistent(witness.arcs, prepare_tournaments(forbidden))

@@ -8,7 +8,7 @@ from qcsp.analysis import (
     probe_convexity,
 )
 from qcsp.formulas import PPFormula, RelationSymbol, make_instance, neq, rel
-from qcsp.oracle import brute_decide_theory
+from qcsp.oracle import BoundExceeded, brute_decide_theory
 from qcsp.theories import SolveResult, TheorySolver, builtin_mi, relation_for_name
 
 LT = RelationSymbol("t1", "lt", 2)
@@ -121,7 +121,7 @@ def test_probe_random_mode_can_find_the_mi_violation():
 
 
 def test_probe_exhaustive_bound_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceeded):
         probe_convexity(PA, max_vars=6, max_atoms=4)
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: first-line verdicts, exit codes, witness replay."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from qcsp.theories import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, capsys=None):
@@ -344,10 +346,13 @@ def test_unknown_flag_is_an_error():
 
 
 def test_console_script_runs():
+    # pytest's pythonpath setting reaches only this process, not the child
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "qcsp.cli", "solve", str(FIXTURES / "empty.qcsp")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "SAT"

@@ -16,6 +16,8 @@ from qcsp.combine import (
     _decide_parts,
     _entailed_by_a_part,
     _first_entailed,
+    _reps,
+    _tied_pairs,
     CombinedProblem,
     ConvexityFlagFalse,
     ConvexityNotDeclared,
@@ -182,12 +184,12 @@ def test_parts_reject_contradicting_neutral_atoms_without_a_collapse(
     kind, monkeypatch
 ):
     # every part holds the eq/neq atoms and its decide rejects x != x after
-    # its own merging, so combine collapses the whole instance only when
-    # there is no part; the flag lets convex mode run on every kind
+    # its own merging, so combine merges the whole instance's equalities
+    # only when there is no part; the flag lets convex mode run on every kind
     calls = []
-    original = combine.collapse_equalities
+    original = combine.merge_equalities
     monkeypatch.setattr(
-        combine, "collapse_equalities", lambda inst: calls.append(inst) or original(inst)
+        combine, "merge_equalities", lambda inst: calls.append(inst) or original(inst)
     )
     problem = _manual_problem(
         [eq("x", "y"), eq("y", "z"), neq("x", "z")],
@@ -737,6 +739,8 @@ def _node(data, problem, names):
 
 
 def test_first_entailed_matches_asking_every_part(monkeypatch):
+    # the search asks only the pending pairs some part's witness ties, as
+    # propagation does; no other pair can be entailed
     def check(data, problem, names):
         merges, distinct, contexts, ok = _node(data, problem, names)
         if not ok:
@@ -746,7 +750,9 @@ def test_first_entailed_matches_asking_every_part(monkeypatch):
         expected = next(
             (p for p in pending if _reference_entailed(problem, node, *p)), None
         )
-        assert _first_entailed(problem, contexts, pending) == expected
+        tied = _tied_pairs(contexts, names, _reps(merges, names))
+        asked = [p for p in pending if p in tied]
+        assert _first_entailed(problem, contexts, asked) == expected
 
     assert _most_models_held(monkeypatch, check) >= 2
 

@@ -510,8 +510,8 @@ def test_registered_kind_decides_and_replays(kind):
 
 
 # Replay rejections: the relational, eq and neq atoms of each instance below
-# use disjoint variables (the loop variable x aside), so each edit of its
-# witness breaks exactly one atom
+# use disjoint variables (the loop variable x aside), so moving the value of
+# one end of the eq or neq atom breaks that atom only
 REPLAY_RELATIONAL = {
     "equality": [],
     "point_algebra": [rel(LT, "a", "b")],
