@@ -198,9 +198,9 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
     scans on from the pair its parent fixed.  When root is a list, the root
     fixpoint is appended to it once the root propagation succeeds, as a
     (table, prepared atoms, watch lists) start; it stays empty when the
-    root fails.  Given such a start from a search over the same atoms and a
-    subset of these constraints, the search skips preparing the atoms and
-    resumes from that root; the result is the same.
+    root fails.  Given such a start, atoms is ignored: the search applies
+    the constraints to that root and resumes from it, with the result of a
+    fresh search over the start's atoms and constraints plus these.
     """
     if start is None:
         state = bytearray([ALL]) * (n * n)

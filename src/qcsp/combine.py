@@ -8,6 +8,13 @@ satisfiability, so exhausting arrangements is complete.  Convex mode checks
 the arrangement it ends with in every part, so a false convexity flag is
 detected rather than trusted; ``solve_auto`` then falls back to the search.
 
+A node's decisions, and a round's learned equalities, are one set of ``eq``
+and ``neq`` atoms over the shared variables, and each part is handed exactly
+that set with its own atoms.  The ``eq`` atoms merge the shared variables
+into classes; a ``neq`` atom separates the classes of its two variables, read
+under the node's current classes, so a later merge never leaves a decision
+stale.
+
 Both modes use theory propagation (Nieuwenhuis, Oliveras & Tinelli 2006):
 every decide also reports shared (dis)equalities its part entails, so an
 entailed equality needs no entailment test and the search decides an
@@ -97,7 +104,7 @@ def propagate_step(
     rep = _reps(learned, shared)
     if len(set(rep.values())) < 2:
         return set()
-    ok, decided, contexts = _decide_parts(problem, learned, (), results)
+    ok, decided, contexts = _decide_parts(problem, learned, results)
     if results is not None:
         results.update(decided)
     if not ok:
@@ -130,7 +137,7 @@ def _tied_pairs(
 
 class _Context(NamedTuple):
     """A part under a node's decisions: its instance (the part's atoms plus
-    the node's equalities and disequalities), the values of the witness the
+    the node's ``eq`` and ``neq`` atoms), the values of the witness the
     part was decided with, the models of the part known at this node (that
     witness first, then every counter-model an entailment test returned) and
     the result of its decide, whose facts the search reads and from which
@@ -148,12 +155,11 @@ class _Context(NamedTuple):
 
 def _decide_parts(
     problem: CombinedProblem,
-    merges: Iterable[Atom],
-    distinct_pairs: Iterable[tuple[str, str]],
+    decisions: frozenset[Atom] | set[Atom],
     bases: Mapping[str, SolveResult] | None = None,
 ) -> tuple[bool, dict[str, SolveResult], dict[str, _Context]]:
-    """Decide every part under the given equality/disequality decisions;
-    each part's decide sees the decisions as plain atoms.
+    """Decide every part under the given ``eq``/``neq`` decisions, which each
+    part's decide sees as plain atoms added to its own.
 
     ``bases`` holds a result of each part decided under a subset of the
     decisions.  A SAT base whose witness covers the part's instance and
@@ -165,14 +171,10 @@ def _decide_parts(
     results: dict[str, SolveResult] = {}
     contexts: dict[str, _Context] = {}
     bases = bases or {}
-    merge_atoms = set(merges)
-    neq_atoms = {neq(u, v) for u, v in distinct_pairs}
     for tid in sorted(problem.parts):
         part = problem.parts[tid]
-        if merge_atoms or neq_atoms:
-            merged = make_instance(set(part.atoms) | merge_atoms | neq_atoms)
-        else:
-            merged = part  # no decisions: the part is its own instance
+        # no decisions: the part is its own instance
+        merged = make_instance(part.atoms | decisions) if decisions else part
         base = bases.get(tid)
         if base is not None and base.sat and realizes(
             witness_values(base.witness), merged
@@ -234,11 +236,13 @@ def _sat(
     return SolveResult(True, witness)
 
 
-def _reps(merges: Iterable[Atom], variables: Iterable[str]) -> dict[str, str]:
-    """Representative of each variable under the merged equalities."""
+def _reps(decisions: Iterable[Atom], variables: Iterable[str]) -> dict[str, str]:
+    """Representative of each variable under the ``eq`` atoms among the
+    decisions."""
     classes = UnionFind(variables)
-    for atom in merges:
-        classes.union(*atom.args)
+    for atom in decisions:
+        if atom.kind == EQ:
+            classes.union(*atom.args)
     return classes.mapping()
 
 
@@ -250,20 +254,20 @@ def _blocks(rep: dict[str, str], shared: list[str]) -> tuple[tuple[str, ...], ..
 
 
 def _undecided_pairs(
-    rep: dict[str, str], distinct: frozenset[tuple[str, str]], shared: list[str]
+    decisions: frozenset[Atom], rep: dict[str, str], shared: list[str]
 ) -> list[tuple[str, str]]:
-    pairs = []
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            u, v = shared[i], shared[j]
-            ru, rv = rep[u], rep[v]
-            if ru == rv:
-                continue
-            key = (ru, rv) if ru < rv else (rv, ru)
-            if key in distinct:
-                continue
-            pairs.append((u, v))
-    return pairs
+    """The pairs of shared variables, in pair order, whose classes under rep
+    are distinct and separated by no ``neq`` decision."""
+    apart: dict[str, set[str]] = {}
+    for kind, _, (x, y) in decisions:
+        if kind == NEQ:
+            apart.setdefault(rep[x], set()).add(rep[y])
+            apart.setdefault(rep[y], set()).add(rep[x])
+    return [
+        (u, v)
+        for u, v in combinations(shared, 2)
+        if rep[u] != rep[v] and rep[v] not in apart.get(rep[u], ())
+    ]
 
 
 def _first_entailed(
@@ -271,7 +275,9 @@ def _first_entailed(
     contexts: dict[str, _Context],
     pairs: list[tuple[str, str]],
 ) -> tuple[str, str] | None:
-    """The first pair some part already entails equal, if any."""
+    """The first pair some part already entails equal, if any.  A part
+    whose models give a pair two values is not asked about it, so only the
+    pairs some part's witness ties are tested."""
     for u, v in pairs:
         if _entailed_by_a_part(problem, contexts, u, v):
             return u, v
@@ -282,72 +288,63 @@ def _reported_apart(
     contexts: dict[str, _Context],
     pairs: list[tuple[str, str]],
     rep: dict[str, str],
-) -> frozenset[tuple[str, str]]:
-    """The representative pairs of the given pairs that some part reported
-    distinct, each keyed least first."""
-    keys: set[tuple[str, str]] = set()
-    for u, v in pairs:
-        ru, rv = rep[u], rep[v]
-        key = (ru, rv) if ru < rv else (rv, ru)
-        if key in keys:
-            continue
-        for ctx in contexts.values():
-            if ctx.result.facts(u, v) == NEQ:
-                keys.add(key)
-                break
-    return frozenset(keys)
+) -> set[Atom]:
+    """One ``neq`` atom between the representatives of the classes of each
+    given pair some part reported distinct."""
+    return {
+        neq(rep[u], rep[v])
+        for u, v in pairs
+        if any(ctx.result.facts(u, v) == NEQ for ctx in contexts.values())
+    }
 
 
 def solve_complete(problem: CombinedProblem) -> SolveResult:
     """Complete arrangement search over the shared variables.
 
-    Depth first over an explicit stack of decisions: equalities merged so far
-    and representative pairs decided apart.  Each node decides every part
-    and then, in this order, merges in place a pair some part entails equal
-    (the first in pair order among those some part's witness ties), or
-    decides apart every undecided pair some part reported distinct, or
-    branches on the first undecided pair, the equal branch first.
+    Depth first over an explicit stack of nodes, each a set of ``eq``/``neq``
+    decisions over the shared variables, read under the classes its ``eq``
+    atoms merge.  Each node decides every part and then, in this order,
+    merges a pending pair some part entails equal (the first in pair
+    order), or decides apart the classes of every pending pair some part
+    reported distinct, or branches on the first pending pair, the equal
+    branch first.  A pair is pending while its classes are distinct and no
+    ``neq`` decision separates them.
 
     The search returns the least accepted arrangement in pair order, equal
     before distinct, and a leaf's part witnesses depend only on its
     partition.  A forced merge or apart decision is entailed at its node, so
     it cuts only subtrees that hold no accepted leaf, and the result is the
-    one plain branching would find.  An undecided pair no part entails
-    equal (none is left once no merge is forced) cannot be reported equal
-    by a sound part, so a distinct report there needs no conflict check.
-    A child only adds decisions, so each part keeps its result at the
-    parent node when that result's witness satisfies the child's decisions,
-    and otherwise resumes its decide from it.
+    one plain branching would find.  A pending pair no part entails equal
+    (none is left once no merge is forced) cannot be reported equal by a
+    sound part, so a distinct report there needs no conflict check.  A
+    child only adds decisions, so each part keeps its result at the parent
+    node when that result's witness satisfies the child's decisions, and
+    otherwise resumes its decide from it.
     """
     if not problem.parts and not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
     shared = sorted(problem.shared)
-    stack: list[
-        tuple[frozenset[Atom], frozenset[tuple[str, str]], dict[str, SolveResult]]
-    ] = [(frozenset(), frozenset(), {})]
+    stack: list[tuple[frozenset[Atom], dict[str, SolveResult]]] = [(frozenset(), {})]
     while stack:
-        merges, distinct, parent = stack.pop()
-        ok, results, contexts = _decide_parts(problem, merges, distinct, parent)
+        decisions, parent = stack.pop()
+        ok, results, contexts = _decide_parts(problem, decisions, parent)
         if not ok:
             continue
-        rep = _reps(merges, shared)
-        pending = _undecided_pairs(rep, distinct, shared)
+        rep = _reps(decisions, shared)
+        pending = _undecided_pairs(decisions, rep, shared)
         if not pending:
             return _sat(_blocks(rep, shared), results)
-        tied = _tied_pairs(contexts, shared, rep)
-        forced = _first_entailed(problem, contexts, [p for p in pending if p in tied])
+        forced = _first_entailed(problem, contexts, pending)
         if forced is not None:
-            stack.append((merges | {eq(*forced)}, distinct, results))
+            stack.append((decisions | {eq(*forced)}, results))
             continue
         apart = _reported_apart(contexts, pending, rep)
         if apart:
-            stack.append((merges, distinct | apart, results))
+            stack.append((decisions | apart, results))
             continue
         u, v = pending[0]
-        ru, rv = rep[u], rep[v]
-        key = (ru, rv) if ru < rv else (rv, ru)
-        stack.append((merges, distinct | {key}, results))
-        stack.append((merges | {eq(u, v)}, distinct, results))
+        stack.append((decisions | {neq(rep[u], rep[v])}, results))
+        stack.append((decisions | {eq(u, v)}, results))
     return SolveResult(False)
 
 
@@ -378,10 +375,10 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
 
     shared = sorted(problem.shared)
     blocks = _blocks(_reps(learned, shared), shared)
-    apart = [(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]]
-    ok, final, _ = _decide_parts(problem, learned, apart, results)
+    apart = {neq(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]}
+    ok, final, _ = _decide_parts(problem, learned | apart, results)
     if not ok:
-        if not _decide_parts(problem, learned, (), results)[0]:
+        if not _decide_parts(problem, learned, results)[0]:
             return SolveResult(False)
         failed = next(tid for tid, result in final.items() if not result.sat)
         raise ConvexityFlagFalse(

@@ -375,14 +375,13 @@ def _atom_patterns(
 
 class _Resume(NamedTuple):
     """What a later temporal decide resumes from: the decided atoms and
-    relations, how they went to the kernel, and the kernel's root."""
+    relations, the index map and resolved relational atoms, and the
+    kernel's root, which already meets every atom decided."""
 
     atoms: frozenset[Atom]
     relations: Mapping[str, TemporalRelation]
     idx: dict[str, int]
-    kernel_atoms: tuple
     resolved: list[tuple[Atom, TemporalRelation]]
-    constraints: list[tuple[int, int, int]]
     start: tuple
 
 
@@ -405,12 +404,12 @@ def temporal_decide(
 
     ``base`` is an earlier result of this decide.  When inst holds base's
     atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
-    keeps base's index map and kernel atoms and the kernel resumes from
-    base's root fixpoint, which reaches the root fixpoint and result of a
-    fresh decide (see ``_kernels.pure``).  Otherwise (no token, other
-    relations, an atom of base missing, an added relational atom or
-    variable) the decide starts afresh.  Either way the witness is replayed
-    against every atom of inst.
+    keeps base's index map and resolved atoms, and the kernel resumes from
+    base's root fixpoint with just the added atoms' constraints, which
+    reaches the root fixpoint and result of a fresh decide (see
+    ``_kernels.pure``).  Otherwise (no token, other relations, an atom of
+    base missing, an added relational atom or variable) the decide starts
+    afresh.  Either way the witness is replayed against every atom of inst.
     """
     prior = base.resume if base is not None else None
     if prior is not None:
@@ -451,13 +450,13 @@ def temporal_decide(
                 (tuple([(positions[u], positions[w]) for u, w in slots]), patterns)
             )
         atoms = tuple(atoms)
-        constraints = []
     else:
-        # only the added eq/neq atoms need turning into constraints
-        atoms, resolved, ordered = prior.kernel_atoms, prior.resolved, added
-        constraints = list(prior.constraints)
+        # the start's root meets base's atoms: only the added eq/neq atoms
+        # need turning into constraints, and the kernel prepares no atoms
+        atoms, resolved, ordered = (), prior.resolved, added
     n = len(idx)
 
+    constraints = []
     for atom in ordered:
         if atom.kind == EQ:
             i, j = idx[atom.args[0]], idx[atom.args[1]]
@@ -494,7 +493,7 @@ def temporal_decide(
             return EQ
         return None if status & EQ_BIT else NEQ
 
-    resume = _Resume(inst.atoms, relations, idx, atoms, resolved, constraints, root[0])
+    resume = _Resume(inst.atoms, relations, idx, resolved, root[0])
     return SolveResult(True, witness, facts, resume)
 
 

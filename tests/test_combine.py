@@ -16,8 +16,6 @@ from qcsp.combine import (
     _decide_parts,
     _entailed_by_a_part,
     _first_entailed,
-    _reps,
-    _tied_pairs,
     CombinedProblem,
     ConvexityFlagFalse,
     ConvexityNotDeclared,
@@ -468,6 +466,73 @@ atom t1 mi v17 v07 v04
 """
 
 
+# A temporal mi/leq part and a point-algebra part over five shared variables
+# (SAT): perfbench.generators.make_case("mi_complete", 1, 16).  The search
+# decides v03 != v04 at the root and later merges v03 into v00's class; the
+# pair (v00, v04) is then already decided apart.
+MI_STALE_APART = """\
+theory t1 temporal
+relation t1 leq/2 ordertypes 0/0,0/1
+relation t1 mi/3 builtin mi
+theory t2 point_algebra
+atom t1 mi v02 v00 v04
+atom t2 leq v00 v02
+atom t1 leq v02 v04
+atom t2 lt v02 v01
+atom t1 leq v04 v01
+atom t1 mi v01 v02 v03
+atom t1 mi v04 v02 v00
+atom t2 leq v00 v02
+atom t2 lt v03 v04
+atom t1 mi v02 v03 v04
+atom t2 leq v04 v01
+atom t1 mi v02 v00 v04
+"""
+
+
+def _apart_classes(decisions) -> set:
+    """The pairs of classes the neq atoms among the decisions separate,
+    under the classes their eq atoms merge."""
+    classes = UnionFind({v for atom in decisions for v in atom.args})
+    for atom in decisions:
+        if atom.kind == "eq":
+            classes.union(*atom.args)
+    return {
+        frozenset(map(classes.find, atom.args))
+        for atom in decisions
+        if atom.kind == "neq"
+    }
+
+
+def test_no_node_decides_separated_classes_apart_again(monkeypatch):
+    # a node's decisions are the eq/neq atoms its parts are handed with
+    # their own; each child adds atoms to its parent's, and the parent is
+    # the last node decided before it whose decisions it contains.  No
+    # child may add a neq atom between two classes its parent already
+    # separates
+    problem = combined_problem(parse_problem(MI_STALE_APART))
+    assert len(problem.shared) == 5
+    nodes = []
+    original = combine._decide_parts
+
+    def recording(*args):
+        ok, results, contexts = original(*args)
+        tid = next(iter(contexts))
+        nodes.append(contexts[tid].instance.atoms - problem.parts[tid].atoms)
+        return ok, results, contexts
+
+    monkeypatch.setattr(combine, "_decide_parts", recording)
+    assert solve_complete(problem).sat
+    assert len(nodes) <= 5
+    for i, node in enumerate(nodes[1:], 1):
+        parent = next(p for p in reversed(nodes[:i]) if p < node)
+        if any(atom.kind == "eq" for atom in node - parent):
+            continue
+        assert len(_apart_classes(node)) == len(_apart_classes(parent)) + len(
+            node - parent
+        )
+
+
 def _kernel_runs(monkeypatch) -> list:
     """Record, for every temporal kernel call, whether it resumed."""
     runs = []
@@ -597,9 +662,7 @@ def test_convex_rounds_reuse_results_and_test_only_tied_pairs(monkeypatch):
 
 def _cold(decide_parts):
     """_decide_parts with every base dropped: each part is decided afresh."""
-    return lambda problem, merges, distinct, bases=None: decide_parts(
-        problem, merges, distinct
-    )
+    return lambda problem, decisions, bases=None: decide_parts(problem, decisions)
 
 
 # Random combined problems over all four theory kinds, for comparing the
@@ -730,29 +793,28 @@ def test_propagate_step_matches_asking_every_part(monkeypatch):
 
 
 def _node(data, problem, names):
-    """Decide the parts under a drawn node: its merges, its distinct pairs,
-    the contexts, and whether every part accepts it."""
+    """Decide the parts under a drawn node: its merges, all its decisions
+    (the merges and some neq atoms), the contexts, and whether every part
+    accepts it."""
     merges = {eq(x, y) for x, y in data.draw(_pair_subsets(names, 2))}
-    distinct = data.draw(_pair_subsets(names, 2))
-    ok, _, contexts = _decide_parts(problem, merges, distinct)
-    return merges, distinct, contexts, ok
+    decisions = merges | {neq(x, y) for x, y in data.draw(_pair_subsets(names, 2))}
+    ok, _, contexts = _decide_parts(problem, decisions)
+    return merges, decisions, contexts, ok
 
 
 def test_first_entailed_matches_asking_every_part(monkeypatch):
-    # the search asks only the pending pairs some part's witness ties, as
-    # propagation does; no other pair can be entailed
+    # asked about every pair its merges keep apart, in order, the search
+    # finds the first one some part entails; the parts skip the pairs their
+    # models refute without a test
     def check(data, problem, names):
-        merges, distinct, contexts, ok = _node(data, problem, names)
+        merges, decisions, contexts, ok = _node(data, problem, names)
         if not ok:
             return
-        node = merges | {neq(x, y) for x, y in distinct}
         pending = _apart_under(merges, names)
         expected = next(
-            (p for p in pending if _reference_entailed(problem, node, *p)), None
+            (p for p in pending if _reference_entailed(problem, decisions, *p)), None
         )
-        tied = _tied_pairs(contexts, names, _reps(merges, names))
-        asked = [p for p in pending if p in tied]
-        assert _first_entailed(problem, contexts, asked) == expected
+        assert _first_entailed(problem, contexts, pending) == expected
 
     assert _most_models_held(monkeypatch, check) >= 2
 

@@ -99,10 +99,20 @@ def _without_bases(decide_parts):
     """combine._decide_parts with the earlier results it may keep or resume
     from dropped."""
 
-    def cold(problem, merges, distinct_pairs, bases=None):
-        return decide_parts(problem, merges, distinct_pairs)
+    def cold(problem, decisions, bases=None):
+        return decide_parts(problem, decisions)
 
     return cold
+
+
+def _recording_bases(decide_parts, seen):
+    """combine._decide_parts appending the bases each call gets to seen."""
+
+    def recording(problem, decisions, bases=None):
+        seen.append(bases)
+        return decide_parts(problem, decisions, bases)
+
+    return recording
 
 
 def test_all_modes_agree_with_the_oracle_and_replay():
@@ -124,12 +134,16 @@ def test_all_modes_agree_with_the_oracle_and_replay():
         # it could have read off, and with every part decided afresh at
         # every node and round, rather than resumed or kept from an earlier
         # node or round, both modes must still return the same witness
+        seen = []
+        cold = _without_bases(_recording_bases(combine._decide_parts, seen))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(TheorySolver, "decide", _without_facts(TheorySolver.decide))
-            patch.setattr(combine, "_decide_parts", _without_bases(combine._decide_parts))
+            patch.setattr(combine, "_decide_parts", cold)
             assert solve_complete(problem) == results["complete"]
             if "convex" in results:
                 assert solve_convex(problem) == results["convex"]
+        # no node or round of the cold runs got a result to keep or resume
+        assert seen and all(bases is None for bases in seen)
         reached["sat" if expected else "unsat"] += 1
         kinds = {s.kind for s in problem.solvers.values()}
         reached["henson+temporal"] += {"henson", "temporal"} <= kinds

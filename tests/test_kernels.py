@@ -251,9 +251,9 @@ def _extra_restrictions(rng, n, state):
 
 
 def test_resumed_search_matches_a_fresh_one():
-    # a search resumed from a root fixpoint with more restrictions returns
-    # the ranks and the root fixpoint of a fresh search that gets them all
-    # as constraints, through chains of resumes too
+    # a search resumed from a root fixpoint with just the new restrictions,
+    # and no atoms, returns the ranks and the root fixpoint of a fresh search
+    # that gets them all as constraints, through chains of resumes too
     rng = random.Random(163)
     outcomes = {"emptied": 0, "unchanged": 0, "changed": 0}
     for _ in range(3000):
@@ -267,7 +267,7 @@ def test_resumed_search_matches_a_fresh_one():
             constraints += extra
             fresh, root = [], []
             expected = pure.temporal_search(n, atoms, constraints, fresh)
-            got = pure.temporal_search(n, atoms, constraints, root, start)
+            got = pure.temporal_search(n, (), extra, root, start)
             assert got == expected, (n, atoms, constraints)
             assert [bytes(r[0]) for r in root] == [bytes(r[0]) for r in fresh]
             kept = [table[i * n + j] & mask for i, j, mask in extra]
