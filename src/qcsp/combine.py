@@ -354,7 +354,7 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     disequalities across them.  Requires every theory to be flagged convex;
     raises ConvexityFlagFalse when a part rejects the arrangement although it
     accepts the learned equalities alone, which a convex theory cannot do.
-    Each round's decides, and both final checks, start from the part results
+    Each round's decides, and the final check, start from the part results
     of the round before, decided under fewer equalities."""
     not_convex = [tid for tid, s in problem.solvers.items() if not s.convex]
     if not_convex:
@@ -378,7 +378,9 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     apart = {neq(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]}
     ok, final, _ = _decide_parts(problem, learned | apart, results)
     if not ok:
-        if not _decide_parts(problem, learned, results)[0]:
+        # with one block the check was the decide of learned itself; with
+        # more, the round that reached the fixpoint accepted learned
+        if not apart:
             return SolveResult(False)
         failed = next(tid for tid, result in final.items() if not result.sat)
         raise ConvexityFlagFalse(

@@ -79,31 +79,27 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     components = UnionFind(reps)
     for a, b in arcs:
         components.union(a, b)
-    index: dict[str, int] = {}
-    comp_of = {
-        v: index.setdefault(r, len(index)) for v, r in components.mapping().items()
-    }
-    comp_arcs: list[set[tuple[str, str]]] = [set() for _ in index]
+    comp_of = components.mapping()
+    comp_arcs: dict[str, set[tuple[str, str]]] = {c: set() for c in comp_of.values()}
     for arc in arcs:
         comp_arcs[comp_of[arc[0]]].add(arc)
     prepared = prepare_tournaments(forbidden)
-    labeled = [not arcs_consistent(own, prepared) for own in comp_arcs]
+    labeled = {c for c, own in comp_arcs.items() if not arcs_consistent(own, prepared)}
 
     for x, y in neqs:
-        if labeled[comp_of[x]] and labeled[comp_of[y]]:
+        if comp_of[x] in labeled and comp_of[y] in labeled:
             return SolveResult(False)
 
     assignment = {}
     witness_arcs = set()
-    any_labeled = any(labeled)
     for v in reps:
-        assignment[v] = "a" if labeled[comp_of[v]] else f"n_{v}"
+        assignment[v] = "a" if comp_of[v] in labeled else f"n_{v}"
     for a, b in arcs:
-        if not labeled[comp_of[a]]:
+        if comp_of[a] not in labeled:
             witness_arcs.add((assignment[a], assignment[b]))
     for original, rep in var_map.items():
         assignment[original] = assignment[rep]
     witness = HensonWitness(
-        assignment, frozenset(witness_arcs), "a" if any_labeled else None
+        assignment, frozenset(witness_arcs), "a" if labeled else None
     )
     return SolveResult(True, witness)

@@ -26,6 +26,7 @@ from .formulas import (
     REL,
     Atom,
     Instance,
+    UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
     merge_equalities,
     realizes,
@@ -170,10 +171,11 @@ def relation_for_name(name: str) -> TemporalRelation | None:
 
 
 def _partition_facts(
-    rep: Mapping[str, str], *apart: set[tuple[str, str]]
+    rep: Mapping[str, str], distinct: Callable[[str, str], bool]
 ) -> Callable[[str, str], str | None]:
-    """Facts of a partition: one class entails equal, and a pair of classes
-    held, in either order, in one of the ``apart`` sets entails distinct."""
+    """Facts of a partition whose classes ``rep`` names by their least
+    members: one class entails equal, and two classes for whose names
+    ``distinct`` holds entail distinct."""
 
     def facts(x: str, y: str) -> str | None:
         rx, ry = rep.get(x), rep.get(y)
@@ -181,10 +183,7 @@ def _partition_facts(
             return None
         if rx == ry:
             return EQ
-        for pairs in apart:
-            if (rx, ry) in pairs or (ry, rx) in pairs:
-                return NEQ
-        return None
+        return NEQ if distinct(rx, ry) else None
 
     return facts
 
@@ -199,13 +198,16 @@ def eq_decide(inst: Instance) -> SolveResult:
     # blocks are numbered in the order of their least members
     index = {rep: i for i, rep in enumerate(sorted(set(rep_of.values())))}
     witness = {v: index[rep] for v, rep in rep_of.items()}
-    return SolveResult(True, witness, _partition_facts(rep_of, apart))
+    facts = _partition_facts(rep_of, lambda a, b: (a, b) in apart or (b, a) in apart)
+    return SolveResult(True, witness, facts)
 
 
 def pa_decide(inst: Instance) -> SolveResult:
-    """Point algebra over lt/leq: contract strongly connected components of
-    the weak-order digraph, then reject strict or disequality atoms that fold
-    into a single component.
+    """Point algebra over lt/leq: contract the strongly connected components
+    of the weak-order digraph, each named by its least member, then reject
+    strict or disequality atoms that fold into a single component.  The
+    witness ranks the components along the topological order that takes the
+    least name first.
 
     Facts: one component entails equal.  Two components are entailed
     distinct when a disequality joins them or a path with a strict edge runs
@@ -213,8 +215,7 @@ def pa_decide(inst: Instance) -> SolveResult:
     check_relations(inst, "point_algebra")
     rep_of, rels, neqs = merge_equalities(inst)
 
-    reps = sorted(set(rep_of.values()))
-    succ: dict[str, set[str]] = {r: set() for r in reps}
+    succ: dict[str, set[str]] = {r: set() for r in rep_of.values()}
     strict: list[tuple[str, str]] = []
     for symbol, pairs in rels.items():
         for a, b in pairs:
@@ -222,51 +223,46 @@ def pa_decide(inst: Instance) -> SolveResult:
         if symbol.name == "lt":
             strict += pairs
 
-    comp = _tarjan_components(reps, succ)
+    comp = _components(succ)
 
-    strict_comps: set[tuple[int, int]] = set()
+    strict_comps: set[tuple[str, str]] = set()
     for a, b in strict:
         if comp[a] == comp[b]:
             return UNSAT
         strict_comps.add((comp[a], comp[b]))
-    neq_comps: set[tuple[int, int]] = set()
+    neq_comps: set[tuple[str, str]] = set()
     for a, b in neqs:
         ca, cb = comp[a], comp[b]
         if ca == cb:
             return UNSAT
         neq_comps.update(((ca, cb), (cb, ca)))
 
-    # rank components along a deterministic topological order
-    n_comps = max(comp.values()) + 1 if comp else 0
-    members: list[list[str]] = [[] for _ in range(n_comps)]
-    for r in reps:
-        members[comp[r]].append(r)
-    indegree = [0] * n_comps
-    out: list[set[int]] = [set() for _ in range(n_comps)]
-    for a in reps:
-        for b in succ[a]:
-            ca, cb = comp[a], comp[b]
+    # rank components along a topological order, least name first
+    out: dict[str, set[str]] = {c: set() for c in comp.values()}
+    indegree = dict.fromkeys(out, 0)
+    for a, targets in succ.items():
+        ca = comp[a]
+        for b in targets:
+            cb = comp[b]
             if ca != cb and cb not in out[ca]:
                 out[ca].add(cb)
                 indegree[cb] += 1
-    heap = [(min(members[c]), c) for c in range(n_comps) if indegree[c] == 0]
+    heap = [c for c, d in indegree.items() if d == 0]
     heapq.heapify(heap)
-    rank_of_comp: dict[int, int] = {}
-    rank = 0
+    rank_of: dict[str, int] = {}
     while heap:
-        _, c = heapq.heappop(heap)
-        rank_of_comp[c] = rank
-        rank += 1
-        for d in sorted(out[c]):
+        c = heapq.heappop(heap)
+        rank_of[c] = len(rank_of)
+        for d in out[c]:
             indegree[d] -= 1
             if indegree[d] == 0:
-                heapq.heappush(heap, (min(members[d]), d))
+                heapq.heappush(heap, d)
 
     comp_of = {v: comp[r] for v, r in rep_of.items()}
-    witness = {v: rank_of_comp[c] for v, c in comp_of.items()}
-    below: dict[int, set[int]] = {}
+    witness = {v: rank_of[c] for v, c in comp_of.items()}
+    below: dict[str, set[str]] = {}
 
-    def strictly_below(c: int) -> set[int]:
+    def strictly_below(c: str) -> set[str]:
         """The components a path from c with a strict edge reaches."""
         found = below.get(c)
         if found is None:
@@ -283,69 +279,58 @@ def pa_decide(inst: Instance) -> SolveResult:
                         stack.append((e, now_strict))
         return found
 
-    def facts(x: str, y: str) -> str | None:
-        cx, cy = comp_of.get(x), comp_of.get(y)
-        if cx is None or cy is None:
-            return None
-        if cx == cy:
-            return EQ
-        if (
+    def distinct(cx: str, cy: str) -> bool:
+        return (
             (cx, cy) in neq_comps
             or cy in strictly_below(cx)
             or cx in strictly_below(cy)
-        ):
-            return NEQ
-        return None
+        )
 
-    return SolveResult(True, witness, facts)
+    return SolveResult(True, witness, _partition_facts(comp_of, distinct))
 
 
-def _tarjan_components(nodes: list[str], succ: Mapping[str, set[str]]) -> dict[str, int]:
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comp: dict[str, int] = {}
-    counter = [0]
-    comp_counter = [0]
-
-    for root in nodes:
-        if root in index:
+def _components(succ: Mapping[str, set[str]]) -> dict[str, str]:
+    """Each node of the digraph ``succ`` mapped to the least member of its
+    strongly connected component, by two searches (Sharir 1981): one over
+    ``succ`` records the order in which nodes finish, and one over the
+    reversed arcs, from the nodes in reverse finish order, reaches exactly
+    one component from each node it starts at."""
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in succ:
+        if root in seen:
             continue
-        work = [(root, iter(sorted(succ[root])))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        seen.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(succ[nxt]))))
-                    advanced = True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                while True:
-                    v = stack.pop()
-                    on_stack.discard(v)
-                    comp[v] = comp_counter[0]
-                    if v == node:
-                        break
-                comp_counter[0] += 1
-    return comp
+            else:
+                work.pop()
+                finished.append(node)
+
+    pred: dict[str, list[str]] = {v: [] for v in succ}
+    for a, targets in succ.items():
+        for b in targets:
+            pred[b].append(a)
+    components = UnionFind(succ)
+    seen.clear()
+    for root in reversed(finished):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for u in pred[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    components.union(root, u)
+                    stack.append(u)
+    return components.mapping()
 
 
 @lru_cache(maxsize=256)
@@ -546,7 +531,10 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
         return UNSAT
     # every input variable goes to its class representative's vertex
     witness = HensonWitness(assignment=var_map, arcs=arcs)
-    return SolveResult(True, witness, _partition_facts(var_map, neqs, arcs))
+    facts = _partition_facts(
+        var_map, lambda a, b: any((a, b) in s or (b, a) in s for s in (neqs, arcs))
+    )
+    return SolveResult(True, witness, facts)
 
 
 def check_value_witness(

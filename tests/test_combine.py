@@ -141,6 +141,20 @@ def test_false_convex_flag_is_detected():
     assert not superpose_bruteforce(problem).sat
 
 
+def test_false_convex_flag_is_raised_without_deciding_learned_again(monkeypatch):
+    # the round that reaches the fixpoint accepts the learned equalities, so
+    # once the arrangement is rejected the flag is false: the final check is
+    # the last decide
+    problem = combined_problem(
+        parse_problem((FIXTURES / "convex_flag_false.qcsp").read_text())
+    )
+    calls = _count_nodes(monkeypatch)
+    with pytest.raises(ConvexityFlagFalse):
+        solve_convex(problem)
+    apart = {neq(u, v) for u, v in combinations("abcd", 2)}
+    assert [set(decisions) for _, decisions, *_ in calls] == [set(), apart]
+
+
 def test_solve_complete_mi_examples():
     base = (
         "theory t1 temporal\n"

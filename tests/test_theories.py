@@ -73,6 +73,27 @@ def test_pa_decide_examples():
         make_instance([rel(LEQ, "x", "y"), rel(LEQ, "y", "x"), neq("x", "y")])
     ).sat
 
+    # a leq cycle b -> c -> e -> b folds into one component named b
+    cycle = make_instance(
+        [
+            rel(LEQ, "b", "c"),
+            rel(LEQ, "c", "e"),
+            rel(LEQ, "e", "b"),
+            rel(LT, "e", "d"),
+            rel(LEQ, "a", "d"),
+            neq("a", "c"),
+            rel(LEQ, "f", "b"),
+        ]
+    )
+    result = pa_decide(cycle)
+    assert result.witness == {"a": 0, "b": 2, "c": 2, "d": 3, "e": 2, "f": 1}
+    equal = {("b", "c"), ("b", "e"), ("c", "e")}
+    distinct = {("a", "b"), ("a", "c"), ("a", "e"), ("b", "d"), ("c", "d")}
+    distinct |= {("d", "e"), ("d", "f")}
+    for x, y in combinations("abcdef", 2):
+        expected = EQ if (x, y) in equal else NEQ if (x, y) in distinct else None
+        assert result.facts(x, y) == result.facts(y, x) == expected, (x, y)
+
 
 def test_pa_decide_rejects_other_relations():
     with pytest.raises(ContractViolation):
@@ -393,6 +414,27 @@ def test_reported_facts_are_entailed(kind, monkeypatch):
             found[fact] = found.get(fact, 0) + 1
         assert result.facts("a", "unknown") is None
     assert found[EQ] > 0 and found[NEQ] > 0
+
+
+@pytest.mark.parametrize("kind", ["equality", "point_algebra", "henson"])
+def test_partition_kinds_tie_exactly_their_equal_facts(kind):
+    # a kind whose facts come from a partition gives two variables one value
+    # exactly when it reports them equal, so a pair its witness ties needs no
+    # entailment test.  Temporal is left out: its witness may tie a pair its
+    # root fixpoint leaves open
+    solver = FACT_SOLVERS[kind]
+    rng = random.Random(7)
+    tied = 0
+    for _ in range(2000):
+        inst = _random_fact_instance(rng, kind)
+        result = solver.decide(inst)
+        if not result.sat:
+            continue
+        values = witness_values(result.witness)
+        for x, y in combinations(inst.variables, 2):
+            assert (values[x] == values[y]) == (result.facts(x, y) == EQ), (inst, x, y)
+            tied += values[x] == values[y]
+    assert tied > 0
 
 
 # Resumed temporal decides: a decide given an earlier result may start from
