@@ -8,20 +8,26 @@ satisfiability, so exhausting arrangements is complete.  Convex mode checks
 the arrangement it ends with in every part, so a false convexity flag is
 detected rather than trusted; ``solve_auto`` then falls back to the search.
 
-A node's decisions, and a round's learned equalities, are one set of ``eq``
-and ``neq`` atoms over the shared variables, and each part is handed exactly
-that set with its own atoms.  The ``eq`` atoms merge the shared variables
-into classes; a ``neq`` atom separates the classes of its two variables, read
-under the node's current classes, so a later merge never leaves a decision
-stale.
+A node's decisions, and the equalities a propagation pass hands a part, are
+one set of ``eq`` and ``neq`` atoms over the shared variables, and each part
+is handed exactly that set with its own atoms.  The ``eq`` atoms merge the
+shared variables into classes; a ``neq`` atom separates the classes of its
+two variables, read under the node's current classes, so a later merge
+never leaves a decision stale.
+
+Convex propagation runs Gauss-Seidel passes: the parts are asked in turn,
+each under the equalities learned so far plus those the parts before it
+found in the same pass, so an equality reaches the next part at once.
 
 Both modes use theory propagation (Nieuwenhuis, Oliveras & Tinelli 2006):
 every decide also reports shared (dis)equalities its part entails, so an
 entailed equality needs no entailment test and the search decides an
 entailed disequality apart without trying the equal branch.  Both keep a
 part's model while it agrees with the new decisions (de Moura & Bjorner
-2007): a search child or a later round keeps a part's earlier result when
-its witness already satisfies the part's extended instance.
+2007): a search child or a later pass keeps a part's earlier result when
+its witness already satisfies the part's extended instance, and carries
+over every earlier model that does, so an entailment test runs only where
+all of them agree.
 """
 
 from __future__ import annotations
@@ -90,106 +96,135 @@ def _neutral_atoms_consistent(instance: Instance) -> bool:
 def propagate_step(
     problem: CombinedProblem,
     learned: set[Atom],
-    results: dict[str, SolveResult] | None = None,
+    contexts: dict[str, _Context] | None = None,
 ) -> set[Atom] | None:
-    """One propagation round: all shared equalities newly entailed by some
-    theory under the learned set.  Empty result signals a fixpoint.  None
-    signals that a part rejects the learned equalities; each of them is
-    entailed, so the combined problem is unsatisfiable.  Only pairs that
-    some part's witness ties and the learned set keeps apart can be
-    entailed, so only those are asked about.  ``results``, when given, holds
-    each part's result of the round before, which this round may keep, and
-    is updated in place with this round's results."""
+    """One Gauss-Seidel propagation pass: the shared equalities newly
+    entailed by the parts, each asked in ``tid`` order under the learned set
+    plus what the parts before it found in this pass, and only about the
+    pairs its own models tie and its classes keep apart.  Empty result
+    signals a fixpoint; None, that a part rejects the equalities it is
+    handed, all entailed, so the combined problem is unsatisfiable.  The
+    pass stops once the shared variables form one class.
+
+    ``contexts`` holds each part's context from the passes before, to keep,
+    resume or carry models from, and is updated in place.  A part adds its
+    finds to its context's decisions: they are entailed, so its models stay
+    models.  A part whose context's decisions hold every equality it is
+    handed, because the only ones added since it was asked are its own, is
+    skipped."""
     shared = sorted(problem.shared)
-    rep = _reps(learned, shared)
-    if len(set(rep.values())) < 2:
-        return set()
-    ok, decided, contexts = _decide_parts(problem, learned, results)
-    if results is not None:
-        results.update(decided)
-    if not ok:
-        return None
-    return {
-        eq(x, y)
-        for x, y in sorted(_tied_pairs(contexts, shared, rep))
-        if _entailed_by_a_part(problem, contexts, x, y)
-    }
+    contexts = {} if contexts is None else contexts
+    found: set[Atom] = set()
+    for tid in sorted(problem.parts):
+        decisions = learned | found
+        rep = _reps(decisions, shared)
+        if len(set(rep.values())) < 2:
+            break
+        ok, decided = _decide_parts(problem, decisions, contexts, (tid,))
+        if not ok:
+            return None
+        ctx = decided[tid]
+        if ctx is contexts.get(tid):
+            continue
+        contexts[tid] = ctx
+        single = {tid: ctx}
+        own = {
+            eq(x, y)
+            for x, y in sorted(_tied_pairs(ctx.values, shared, rep))
+            if _entailed_by_a_part(problem, single, x, y)
+        }
+        if own:
+            contexts[tid] = ctx._replace(decisions=ctx.decisions | own)
+            found |= own
+    return found
 
 
 def _tied_pairs(
-    contexts: Mapping[str, _Context], shared: list[str], rep: Mapping[str, str]
+    values: Mapping[str, object], shared: list[str], rep: Mapping[str, str]
 ) -> set[tuple[str, str]]:
-    """The pairs of shared variables in distinct classes of rep that some
-    part's witness gives one value, each in the order of ``shared``.  Only
-    these can be entailed equal: a part entails nothing its witness
-    refutes."""
-    tied: set[tuple[str, str]] = set()
-    for ctx in contexts.values():
-        by_value: dict[object, list[str]] = {}
-        for v in shared:
-            if v in ctx.values:
-                by_value.setdefault(ctx.values[v], []).append(v)
-        for group in by_value.values():
-            if len(group) > 1:
-                tied.update((u, v) for u, v in combinations(group, 2) if rep[u] != rep[v])
-    return tied
+    """The pairs of shared variables in distinct classes of rep that the
+    values give one value, each in the order of ``shared``.  Only these can
+    be entailed equal: a part entails nothing its witness refutes."""
+    by_value: dict[object, list[str]] = {}
+    for v in shared:
+        if v in values:
+            by_value.setdefault(values[v], []).append(v)
+    return {
+        (u, v)
+        for group in by_value.values()
+        for u, v in combinations(group, 2)
+        if rep[u] != rep[v]
+    }
 
 
 class _Context(NamedTuple):
     """A part under a node's decisions: its instance (the part's atoms plus
     the node's ``eq`` and ``neq`` atoms), the values of the witness the
-    part was decided with, the models of the part known at this node (that
-    witness first, then every counter-model an entailment test returned) and
-    the result of its decide, whose facts the search reads and from which
-    the part's entailment tests resume (values and models empty when the
-    part rejected the node).  The decide rewrites the equalities itself, so
-    every name is the variable's own.  Counter-models are never carried to
-    another node or round: a later node or round adds atoms, which a kept
-    model need not satisfy."""
+    part was decided with, the models of the part known under that instance
+    and the result of its decide, whose facts the search reads and from
+    which the part's entailment tests resume (values and models empty when
+    the part rejected the node).  The decide rewrites the equalities itself,
+    so every name is the variable's own.
+
+    The models are that witness first, then every model of the context the
+    part was decided from (a parent node or an earlier pass) that meets the
+    instance's ``eq``/``neq`` atoms, then every counter-model an entailment
+    test under this instance returned.  The carried models are models: the
+    relational atoms are the same.  ``decisions`` are the node's atoms, to
+    which a propagation pass adds the equalities it found the part to
+    entail; every model meets them."""
 
     instance: Instance
     values: Mapping[str, object]
     models: list[object]
     result: SolveResult
+    decisions: frozenset[Atom] | set[Atom]
 
 
 def _decide_parts(
     problem: CombinedProblem,
     decisions: frozenset[Atom] | set[Atom],
-    bases: Mapping[str, SolveResult] | None = None,
-) -> tuple[bool, dict[str, SolveResult], dict[str, _Context]]:
-    """Decide every part under the given ``eq``/``neq`` decisions, which each
-    part's decide sees as plain atoms added to its own.
+    bases: Mapping[str, _Context] | None = None,
+    tids: Iterable[str] | None = None,
+) -> tuple[bool, dict[str, _Context]]:
+    """Decide the parts named in ``tids`` (every part when None), in
+    ``tid`` order, under the given ``eq``/``neq`` decisions, which each
+    part's decide sees as plain atoms added to its own; stop at the first
+    part that rejects them.
 
-    ``bases`` holds a result of each part decided under a subset of the
-    decisions.  A SAT base whose witness covers the part's instance and
-    meets every decision is taken as it is: the decide would return that
-    same witness (the temporal kernel returns the least solution in its
-    fixed pair order; the other kinds build theirs from classes, components
-    or arcs such decisions do not move), and its facts stay sound.  Any
-    other part's decide may resume from its base."""
-    results: dict[str, SolveResult] = {}
+    ``bases`` holds a context of each part decided under a subset of the
+    decisions.  A base whose decisions already hold every decision has the
+    models of the part's instance, and is the part's context as it is.  A
+    SAT base whose witness covers the part's instance and meets every
+    decision gives its result as it is: the decide would return that same
+    witness (the temporal kernel returns the least solution in its fixed
+    pair order; the other kinds build theirs from classes, components or
+    arcs such decisions do not move), and its facts stay sound.  Any other
+    part's decide may resume from its base's result."""
     contexts: dict[str, _Context] = {}
     bases = bases or {}
-    for tid in sorted(problem.parts):
-        part = problem.parts[tid]
-        # no decisions: the part is its own instance
-        merged = make_instance(part.atoms | decisions) if decisions else part
-        base = bases.get(tid)
-        if base is not None and base.sat and realizes(
-            witness_values(base.witness), merged
-        ):
-            result = base
-        else:
-            result = problem.solvers[tid].decide(merged, base)
-        results[tid] = result
-        models = [result.witness] if result.sat else []
-        contexts[tid] = _Context(
-            merged, witness_values(result.witness), models, result
-        )
-        if not result.sat:
-            return False, results, contexts
-    return True, results, contexts
+    for tid in sorted(problem.parts if tids is None else tids):
+        ctx = base = bases.get(tid)
+        if base is None or not decisions <= base.decisions:
+            part = problem.parts[tid]
+            # no decisions: the part is its own instance
+            merged = make_instance(part.atoms | decisions) if decisions else part
+            if base is not None and base.result.sat and realizes(base.values, merged):
+                result = base.result
+            else:
+                result = problem.solvers[tid].decide(merged, base and base.result)
+            models = [result.witness] if result.sat else []
+            if models and base is not None:
+                # the base's own witness is this result or fails the decisions
+                models += [
+                    m for m in base.models[1:] if realizes(witness_values(m), merged)
+                ]
+            values = witness_values(result.witness)
+            ctx = _Context(merged, values, models, result, decisions)
+        contexts[tid] = ctx
+        if not ctx.result.sat:
+            return False, contexts
+    return True, contexts
 
 
 def _entailed_by_a_part(
@@ -209,11 +244,11 @@ def _entailed_by_a_part(
     part cannot entail the equality.  A test resumes from the part's decide
     at this node.  The parts are asked in the order they were decided.
     """
-    for tid, (instance, values, models, result) in contexts.items():
+    for tid, (instance, values, models, result, _) in contexts.items():
         if u not in values or v not in values:
             continue
-        # the decided witness alone rules out most pairs; scan the
-        # counter-models only when it agrees
+        # the decided witness alone rules out most pairs; scan the other
+        # models only when it agrees
         if values[u] != values[v] or any(
             m[u] != m[v] for m in map(witness_values, models[1:])
         ):
@@ -226,12 +261,12 @@ def _entailed_by_a_part(
 
 
 def _sat(
-    blocks: tuple[tuple[str, ...], ...], results: dict[str, SolveResult]
+    blocks: tuple[tuple[str, ...], ...], contexts: dict[str, _Context]
 ) -> SolveResult:
     """A SAT result holding each part witness as its decide returned it."""
     witness = CombinedWitness(
         arrangement=blocks,
-        part_witnesses={tid: result.witness for tid, result in results.items()},
+        part_witnesses={tid: ctx.result.witness for tid, ctx in contexts.items()},
     )
     return SolveResult(True, witness)
 
@@ -319,43 +354,47 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
     sound part, so a distinct report there needs no conflict check.  A
     child only adds decisions, so each part keeps its result at the parent
     node when that result's witness satisfies the child's decisions, and
-    otherwise resumes its decide from it.
+    otherwise resumes its decide from it; either way it carries over the
+    parent's models that satisfy them.
     """
     if not problem.parts and not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
     shared = sorted(problem.shared)
-    stack: list[tuple[frozenset[Atom], dict[str, SolveResult]]] = [(frozenset(), {})]
+    stack: list[tuple[frozenset[Atom], dict[str, _Context]]] = [(frozenset(), {})]
     while stack:
         decisions, parent = stack.pop()
-        ok, results, contexts = _decide_parts(problem, decisions, parent)
+        ok, contexts = _decide_parts(problem, decisions, parent)
         if not ok:
             continue
         rep = _reps(decisions, shared)
         pending = _undecided_pairs(decisions, rep, shared)
         if not pending:
-            return _sat(_blocks(rep, shared), results)
+            return _sat(_blocks(rep, shared), contexts)
         forced = _first_entailed(problem, contexts, pending)
         if forced is not None:
-            stack.append((decisions | {eq(*forced)}, results))
+            stack.append((decisions | {eq(*forced)}, contexts))
             continue
         apart = _reported_apart(contexts, pending, rep)
         if apart:
-            stack.append((decisions | apart, results))
+            stack.append((decisions | apart, contexts))
             continue
         u, v = pending[0]
-        stack.append((decisions | {neq(rep[u], rep[v])}, results))
-        stack.append((decisions | {eq(u, v)}, results))
+        stack.append((decisions | {neq(rep[u], rep[v])}, contexts))
+        stack.append((decisions | {eq(u, v)}, contexts))
     return SolveResult(False)
 
 
 def solve_convex(problem: CombinedProblem) -> SolveResult:
-    """Equality propagation to fixpoint, then one satisfiability check per
-    part under the propagated arrangement: learned equalities inside blocks,
-    disequalities across them.  Requires every theory to be flagged convex;
-    raises ConvexityFlagFalse when a part rejects the arrangement although it
-    accepts the learned equalities alone, which a convex theory cannot do.
-    Each round's decides, and the final check, start from the part results
-    of the round before, decided under fewer equalities."""
+    """Equality propagation by passes until one finds nothing, then one
+    satisfiability check per part under the propagated arrangement: learned
+    equalities inside blocks, disequalities across them.  Requires every
+    theory to be flagged convex; raises ConvexityFlagFalse when a part
+    rejects the arrangement although it accepts the learned equalities
+    alone, which a convex theory cannot do.  Each pass, and the final check,
+    starts from the part contexts of the passes before, decided under fewer
+    equalities.  The passes end with the classes that rounds asking every
+    part under one learned set reach, so the order does not move a verdict
+    or a witness."""
     not_convex = [tid for tid, s in problem.solvers.items() if not s.convex]
     if not_convex:
         raise ConvexityNotDeclared(
@@ -364,9 +403,9 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     if not problem.parts and not _neutral_atoms_consistent(problem.instance):
         return SolveResult(False)
     learned: set[Atom] = set()
-    results: dict[str, SolveResult] = {}
+    contexts: dict[str, _Context] = {}
     while True:
-        new = propagate_step(problem, learned, results)
+        new = propagate_step(problem, learned, contexts)
         if new is None:
             return SolveResult(False)
         if not new:
@@ -376,13 +415,13 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
     shared = sorted(problem.shared)
     blocks = _blocks(_reps(learned, shared), shared)
     apart = {neq(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]}
-    ok, final, _ = _decide_parts(problem, learned | apart, results)
+    ok, final = _decide_parts(problem, learned | apart, contexts)
     if not ok:
         # with one block the check was the decide of learned itself; with
-        # more, the round that reached the fixpoint accepted learned
+        # more, every part accepted learned in the pass that found nothing
         if not apart:
             return SolveResult(False)
-        failed = next(tid for tid, result in final.items() if not result.sat)
+        failed = next(tid for tid, ctx in final.items() if not ctx.result.sat)
         raise ConvexityFlagFalse(
             f"theory {failed} is flagged convex but entails a disjunction of "
             "shared equalities and none of them alone"

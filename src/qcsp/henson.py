@@ -80,9 +80,10 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     for a, b in arcs:
         components.union(a, b)
     comp_of = components.mapping()
-    comp_arcs: dict[str, set[tuple[str, str]]] = {c: set() for c in comp_of.values()}
+    # a component without arcs has a loopless solution: it is never labeled
+    comp_arcs: dict[str, set[tuple[str, str]]] = {}
     for arc in arcs:
-        comp_arcs[comp_of[arc[0]]].add(arc)
+        comp_arcs.setdefault(comp_of[arc[0]], set()).add(arc)
     prepared = prepare_tournaments(forbidden)
     labeled = {c for c, own in comp_arcs.items() if not arcs_consistent(own, prepared)}
 

@@ -142,9 +142,10 @@ def test_false_convex_flag_is_detected():
 
 
 def test_false_convex_flag_is_raised_without_deciding_learned_again(monkeypatch):
-    # the round that reaches the fixpoint accepts the learned equalities, so
-    # once the arrangement is rejected the flag is false: the final check is
-    # the last decide
+    # every part accepts the learned equalities in the pass that finds
+    # nothing, so once the arrangement is rejected the flag is false: the
+    # final check is the last decide.  Here the one pass decides t1 and then
+    # t2 under no equalities
     problem = combined_problem(
         parse_problem((FIXTURES / "convex_flag_false.qcsp").read_text())
     )
@@ -152,7 +153,7 @@ def test_false_convex_flag_is_raised_without_deciding_learned_again(monkeypatch)
     with pytest.raises(ConvexityFlagFalse):
         solve_convex(problem)
     apart = {neq(u, v) for u, v in combinations("abcd", 2)}
-    assert [set(decisions) for _, decisions, *_ in calls] == [set(), apart]
+    assert [set(decisions) for _, decisions, *_ in calls] == [set(), set(), apart]
 
 
 def test_solve_complete_mi_examples():
@@ -530,10 +531,10 @@ def test_no_node_decides_separated_classes_apart_again(monkeypatch):
     original = combine._decide_parts
 
     def recording(*args):
-        ok, results, contexts = original(*args)
+        ok, contexts = original(*args)
         tid = next(iter(contexts))
         nodes.append(contexts[tid].instance.atoms - problem.parts[tid].atoms)
-        return ok, results, contexts
+        return ok, contexts
 
     monkeypatch.setattr(combine, "_decide_parts", recording)
     assert solve_complete(problem).sat
@@ -612,10 +613,12 @@ def test_search_tests_entailment_only_where_witnesses_agree(monkeypatch):
     assert len(calls) <= 20
 
 
-# Two point-algebra parts whose tie groups grow over three convex rounds:
-# t1 forces a = b, then t2 forces c = d and a = c, then t1 forces e = f and
-# c = e; g < h in t1 keeps two more blocks apart, so the fourth round, which
-# finds the fixpoint, decides both parts too.
+# Two point-algebra parts whose tie groups grow over two convex passes: in
+# the first, t1 forces a = b and t2, handed a = b in the same pass, forces
+# a = b = c = d; in the second, t1 forces e = f and c = e and t2 finds
+# nothing.  g < h in t1 keeps two more blocks apart.  The third pass finds
+# the fixpoint without deciding or asking either part: the only equalities
+# added since each was last asked are its own.
 TIE_GROUPS = """\
 theory t1 point_algebra
 theory t2 point_algebra
@@ -637,36 +640,27 @@ atom t2 leq g h
 
 def test_convex_rounds_reuse_results_and_test_only_tied_pairs(monkeypatch):
     # a part whose last witness already satisfies the new equalities is not
-    # decided again, and a pair no part's witness ties is never asked about
+    # decided again, a part is asked only about pairs its own witness ties,
+    # and a part handed only its own finds since it was asked is skipped
     problem = combined_problem(parse_problem(TIE_GROUPS))
-    decides, rounds, tied = [], [], []
-    original_decide = TheorySolver.decide
-    original_step = combine.propagate_step
+    decides, rounds = _record_decides_and_passes(monkeypatch)
+    tied = []
     original_ask = combine._entailed_by_a_part
-
-    def deciding(self, inst, base=None):
-        decides.append(self.theory_id)
-        return original_decide(self, inst, base)
-
-    def stepping(*args):
-        rounds.append(args)
-        return original_step(*args)
 
     def asking(problem, contexts, u, v):
         tied.append(any(c.values[u] == c.values[v] for c in contexts.values()))
         return original_ask(problem, contexts, u, v)
 
-    monkeypatch.setattr(TheorySolver, "decide", deciding)
-    monkeypatch.setattr(combine, "propagate_step", stepping)
     monkeypatch.setattr(combine, "_entailed_by_a_part", asking)
     result = solve_convex(problem)
     assert result.sat
     assert result.witness.arrangement == (("a", "b", "c", "d", "e", "f"), ("g",), ("h",))
-    assert len(rounds) == 4
-    # both parts decided in each round and in the final check make 2 * 5
-    every_time = 2 * (len(rounds) + 1)
-    assert len(decides) < every_time
+    assert len(rounds) == 3
+    # the third pass skips both parts and the final check keeps both results
+    assert decides == ["t1", "t2", "t1", "t2"]
     assert tied and all(tied)
+    # both parts decided in each pass and in the final check make 2 * (3 + 1)
+    every_time = 2 * (len(rounds) + 1)
     # with every base dropped that is what happens, to the same result
     del decides[:]
     monkeypatch.setattr(combine, "_decide_parts", _cold(combine._decide_parts))
@@ -674,9 +668,55 @@ def test_convex_rounds_reuse_results_and_test_only_tied_pairs(monkeypatch):
     assert len(decides) == every_time
 
 
+def _record_decides_and_passes(monkeypatch) -> tuple[list, list]:
+    """Record the theory id of every decide and the arguments of every
+    propagation pass."""
+    decides, passes = [], []
+    original_decide = TheorySolver.decide
+    original_step = combine.propagate_step
+
+    def deciding(self, inst, base=None):
+        decides.append(self.theory_id)
+        return original_decide(self, inst, base)
+
+    def stepping(*args):
+        passes.append(args)
+        return original_step(*args)
+
+    monkeypatch.setattr(TheorySolver, "decide", deciding)
+    monkeypatch.setattr(combine, "propagate_step", stepping)
+    return decides, passes
+
+
 def _cold(decide_parts):
     """_decide_parts with every base dropped: each part is decided afresh."""
-    return lambda problem, decisions, bases=None: decide_parts(problem, decisions)
+    return lambda problem, decisions, bases=None, tids=None: decide_parts(
+        problem, decisions, None, tids
+    )
+
+
+def test_a_pass_hands_each_part_what_the_parts_before_it_found(monkeypatch):
+    # t1's leq cycle entails a = b; t2, handed a = b in the same pass,
+    # rejects it, so one pass of two decides refutes the problem.  Rounds
+    # that hand every part the same learned set take 2 rounds and 3 decides
+    problem = combined_problem(parse_problem(
+        "theory t1 point_algebra\ntheory t2 point_algebra\n"
+        "atom t1 leq a b\natom t1 leq b a\natom t1 leq a c\n"
+        "atom t2 lt a b\natom t2 leq b c\n"
+    ))
+    decides, passes = _record_decides_and_passes(monkeypatch)
+    assert not solve_convex(problem).sat
+    assert len(passes) == 1
+    assert decides == ["t1", "t2"]
+
+
+def test_one_pass_carries_the_first_parts_finds_to_the_next():
+    # t1 alone entails only a = b; handed it, t2 entails c = d and a = c,
+    # so the first pass finds all six equalities among a, b, c and d
+    problem = combined_problem(parse_problem(TIE_GROUPS))
+    assert propagate_step(problem, set()) == {
+        eq(x, y) for x, y in combinations("abcd", 2)
+    }
 
 
 # Random combined problems over all four theory kinds, for comparing the
@@ -785,23 +825,32 @@ def _most_models_held(monkeypatch, check) -> int:
     return held[0]
 
 
+def _reference_pass(problem, learned, names):
+    """One pass asked of the parts directly, without consulting any
+    witness: each part in tid order, under learned plus what the parts
+    before it found, about every pair those equalities keep apart.  None
+    when a part rejects what it is handed; the pass stops once no pair is
+    kept apart."""
+    found = set()
+    for tid in sorted(problem.parts):
+        handed = learned | found
+        apart = _apart_under(handed, names)
+        if not apart:
+            break
+        merged = make_instance(set(problem.parts[tid].atoms) | handed)
+        solver = problem.solvers[tid]
+        if not solver.decide(merged).sat:
+            return None
+        found |= {eq(x, y) for x, y in apart if solver.entails_eq(merged, x, y)}
+    return found
+
+
 def test_propagate_step_matches_asking_every_part(monkeypatch):
     def check(data, problem, names):
         learned = {eq(x, y) for x, y in data.draw(_pair_subsets(names))}
-        found = propagate_step(problem, learned)
-        if found is None:
-            # a part rejects the learned equalities: the combination is UNSAT
-            assert any(
-                not problem.solvers[tid].decide(
-                    make_instance(set(part.atoms) | learned)
-                ).sat
-                for tid, part in problem.parts.items()
-            )
-        else:
-            assert found == {
-                eq(x, y) for x, y in _apart_under(learned, names)
-                if _reference_entailed(problem, learned, x, y)
-            }
+        assert propagate_step(problem, learned) == _reference_pass(
+            problem, learned, names
+        )
 
     assert _most_models_held(monkeypatch, check) >= 2
 
@@ -812,7 +861,7 @@ def _node(data, problem, names):
     accepts it."""
     merges = {eq(x, y) for x, y in data.draw(_pair_subsets(names, 2))}
     decisions = merges | {neq(x, y) for x, y in data.draw(_pair_subsets(names, 2))}
-    ok, _, contexts = _decide_parts(problem, decisions)
+    ok, contexts = _decide_parts(problem, decisions)
     return merges, decisions, contexts, ok
 
 
@@ -835,16 +884,29 @@ def test_first_entailed_matches_asking_every_part(monkeypatch):
 
 def test_kept_counter_models_replay(monkeypatch):
     # every model a part keeps at a node satisfies the part's instance
-    # under that node's decisions, so it may rule pairs out
+    # under that node's decisions, so it may rule pairs out; so does every
+    # model a child node carries over from it
+    def replays(problem, contexts):
+        return all(
+            check_part_witness(problem.solvers[tid], instance, model)
+            for tid, (instance, _, models, *_) in contexts.items()
+            for model in models
+        )
+
     def check(data, problem, names):
-        merges, _, contexts, ok = _node(data, problem, names)
+        merges, decisions, contexts, ok = _node(data, problem, names)
         if not ok:
             return
         for x, y in _apart_under(merges, names):
             _entailed_by_a_part(problem, contexts, x, y)
-        for tid, (instance, _, models, _) in contexts.items():
-            for model in models:
-                assert check_part_witness(problem.solvers[tid], instance, model)
+        assert replays(problem, contexts)
+        child = decisions | {
+            (eq if data.draw(st.booleans()) else neq)(x, y)
+            for x, y in data.draw(_pair_subsets(names, 2))
+        }
+        ok, carried = _decide_parts(problem, child, contexts)
+        if ok:
+            assert replays(problem, carried)
 
     assert _most_models_held(monkeypatch, check) >= 2
 

@@ -12,7 +12,15 @@ from hypothesis import given, settings, strategies as st
 from qcsp import combine
 from qcsp.checking import check_combined_witness
 from qcsp.combine import CombinedProblem, solve_auto, solve_complete, solve_convex
-from qcsp.formulas import RelationSymbol, eq, make_instance, neq, rel, split_by_signature
+from qcsp.formulas import (
+    RelationSymbol,
+    UnionFind,
+    eq,
+    make_instance,
+    neq,
+    rel,
+    split_by_signature,
+)
 from qcsp.oracle import enumerate_weak_orders, superpose_bruteforce
 from qcsp.theories import (
     Digraph,
@@ -96,11 +104,12 @@ def _without_facts(decide):
 
 
 def _without_bases(decide_parts):
-    """combine._decide_parts with the earlier results it may keep or resume
-    from dropped."""
+    """combine._decide_parts with the earlier contexts it may keep, resume
+    or carry models from dropped; the parts it is asked to decide are
+    passed on."""
 
-    def cold(problem, decisions, bases=None):
-        return decide_parts(problem, decisions)
+    def cold(problem, decisions, bases=None, tids=None):
+        return decide_parts(problem, decisions, None, tids)
 
     return cold
 
@@ -108,9 +117,27 @@ def _without_bases(decide_parts):
 def _recording_bases(decide_parts, seen):
     """combine._decide_parts appending the bases each call gets to seen."""
 
-    def recording(problem, decisions, bases=None):
+    def recording(problem, decisions, bases=None, tids=None):
         seen.append(bases)
-        return decide_parts(problem, decisions, bases)
+        return decide_parts(problem, decisions, bases, tids)
+
+    return recording
+
+
+def _recording_passes(propagate_step, seen, passes):
+    """combine.propagate_step appending to passes, for each pass that
+    starts with the shared variables in two classes or more, and so decides
+    a part, how many calls seen gained during it."""
+
+    def recording(problem, learned, contexts=None):
+        before = len(seen)
+        found = propagate_step(problem, learned, contexts)
+        classes = UnionFind(problem.shared)
+        for atom in learned:
+            classes.union(*atom.args)
+        if len(set(classes.mapping().values())) > 1:
+            passes.append(len(seen) - before)
+        return found
 
     return recording
 
@@ -132,18 +159,23 @@ def test_all_modes_agree_with_the_oracle_and_replay():
                 assert check_combined_witness(problem, result), mode
         # with the reported facts ignored the search branches on every pair
         # it could have read off, and with every part decided afresh at
-        # every node and round, rather than resumed or kept from an earlier
-        # node or round, both modes must still return the same witness
-        seen = []
+        # every node and pass, rather than resumed or kept from an earlier
+        # node or pass, both modes must still return the same witness
+        seen, passes = [], []
         cold = _without_bases(_recording_bases(combine._decide_parts, seen))
+        step = _recording_passes(combine.propagate_step, seen, passes)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(TheorySolver, "decide", _without_facts(TheorySolver.decide))
             patch.setattr(combine, "_decide_parts", cold)
+            patch.setattr(combine, "propagate_step", step)
             assert solve_complete(problem) == results["complete"]
             if "convex" in results:
                 assert solve_convex(problem) == results["convex"]
-        # no node or round of the cold runs got a result to keep or resume
+        # no node, convex pass or final check of the cold runs got a context
+        # to keep, resume or carry models from, and every convex pass that
+        # decided a part did so through the recorded calls
         assert seen and all(bases is None for bases in seen)
+        assert all(passes)
         reached["sat" if expected else "unsat"] += 1
         kinds = {s.kind for s in problem.solvers.values()}
         reached["henson+temporal"] += {"henson", "temporal"} <= kinds

@@ -3,7 +3,7 @@
 import random
 from itertools import combinations
 
-from qcsp import combine
+from qcsp import _kernels, combine
 from qcsp.combine import CombinedProblem, combined_problem, solve_complete
 from qcsp.formulas import (
     NEQ,
@@ -118,6 +118,28 @@ def test_component_label_examples():
         ]
     )
     assert not component_label_solve(triangle_plus, (C3,)).sat
+
+
+def test_component_label_tests_only_components_with_arcs(monkeypatch):
+    # a component without arcs has a loopless solution, so it is never
+    # labeled and costs no embedding search; the arc component costs one
+    calls = []
+    original = _kernels.find_induced_embedding
+
+    def counting(n, adj, tournaments):
+        calls.append(n)
+        return original(n, adj, tournaments)
+
+    monkeypatch.setattr(_kernels, "find_induced_embedding", counting)
+    no_arcs = make_instance([neq("x", "y"), eq("y", "z"), neq("z", "w")])
+    result = component_label_solve(no_arcs, (C3,))
+    assert calls == []
+    assert result.sat and result.witness.loop_vertex is None
+    assert check_henson_witness((C3,), no_arcs, result.witness)
+    del calls[:]
+    with_arc = make_instance([rel(E, "a", "b"), neq("b", "c"), neq("c", "d")])
+    assert component_label_solve(with_arc, (C3,)).sat
+    assert calls == [2]
 
 
 def test_component_label_neq_inside_labeled_component():
