@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .formulas import Atom, Instance, PPFormula, REL, RelationSymbol, eq, make_instance, neq
 from .oracle import BoundExceeded, brute_decide_theory
@@ -129,49 +129,47 @@ def probe_convexity(
     if max_atoms < 1:
         raise BoundExceeded(f"probe needs max_atoms >= 1, got {max_atoms}")
     relations = probe_relations(solver)
+
+    def exhaustive() -> Iterator[Instance]:
+        for n in range(1, max_vars + 1):
+            variables = _VAR_NAMES[:n]
+            universe = _atom_universe(solver, relations, variables)
+            needed = set(variables)
+            for k in range(1, max_atoms + 1):
+                for atoms in combinations(universe, k):
+                    if {v for atom in atoms for v in atom.args} == needed:
+                        yield make_instance(atoms)
+
+    def sampled() -> Iterator[Instance]:
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(2, max_vars)
+            universe = _atom_universe(solver, relations, _VAR_NAMES[:n])
+            k = rng.randint(1, min(max_atoms, len(universe)))
+            yield make_instance(rng.sample(universe, k))
+
     if mode == "exhaustive":
         if max_vars > EXHAUSTIVE_MAX_VARS or max_atoms > EXHAUSTIVE_MAX_ATOMS:
             raise BoundExceeded(
                 f"exhaustive probe caps: {EXHAUSTIVE_MAX_VARS} vars, "
                 f"{EXHAUSTIVE_MAX_ATOMS} atoms"
             )
-        for n in range(1, max_vars + 1):
-            variables = list(_VAR_NAMES[:n])
-            universe = _atom_universe(solver, relations, variables)
-            needed = set(variables)
-            for k in range(1, max_atoms + 1):
-                for combo in combinations(range(len(universe)), k):
-                    atoms = [universe[i] for i in combo]
-                    used: set[str] = set()
-                    for atom in atoms:
-                        used.update(atom.args)
-                    if used != needed:
-                        continue
-                    instance = make_instance(atoms)
-                    hit = _violation(solver, instance)
-                    if hit is not None:
-                        return _verified_witness(solver, instance, hit)
-        return None
-    if mode == "random":
+        instances = exhaustive()
+    elif mode == "random":
         if count < 1:
             raise BoundExceeded(f"random probe needs count >= 1, got {count}")
         if max_vars > len(_VAR_NAMES):
             raise BoundExceeded(
                 f"random probe needs max_vars <= {len(_VAR_NAMES)}, got {max_vars}"
             )
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(2, max_vars)
-            variables = list(_VAR_NAMES[:n])
-            universe = _atom_universe(solver, relations, variables)
-            k = rng.randint(1, min(max_atoms, len(universe)))
-            atoms = rng.sample(universe, k)
-            instance = make_instance(atoms)
-            hit = _violation(solver, instance)
-            if hit is not None:
-                return _verified_witness(solver, instance, hit)
-        return None
-    raise ValueError(f"unknown probe mode {mode!r}")
+        instances = sampled()
+    else:
+        raise ValueError(f"unknown probe mode {mode!r}")
+    for instance in instances:
+        hit = _violation(solver, instance)
+        if hit is not None:
+            return _verified_witness(solver, instance, hit)
+    return None
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from functools import cache, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import _kernels
+from ._kernels import EQB, GT, LT
 from .formulas import (
     EQ,
     NEQ,
@@ -31,10 +32,6 @@ from .formulas import (
     merge_equalities,
     realizes,
 )
-
-LT_BIT = 1
-EQ_BIT = 2
-GT_BIT = 4
 
 
 class ContractViolation(ValueError):
@@ -70,9 +67,6 @@ class TemporalRelation:
         for ranks in self.allowed:
             if len(ranks) != self.arity or not is_weak_order(ranks):
                 raise ValueError(f"bad order type {ranks} for arity {self.arity}")
-
-    def admits(self, values: tuple[int, ...]) -> bool:
-        return canonical_ranks(values) in self.allowed
 
 
 @dataclass(frozen=True)
@@ -351,7 +345,7 @@ def _atom_patterns(
             continue
         patterns.append(
             tuple(
-                LT_BIT if p[u] < p[w] else (EQ_BIT if p[u] == p[w] else GT_BIT)
+                LT if p[u] < p[w] else (EQB if p[u] == p[w] else GT)
                 for u, w in slots
             )
         )
@@ -360,13 +354,12 @@ def _atom_patterns(
 
 class _Resume(NamedTuple):
     """What a later temporal decide resumes from: the decided atoms and
-    relations, the index map and resolved relational atoms, and the
-    kernel's root, which already meets every atom decided."""
+    relations, the index map, and the kernel's root, which already meets
+    every atom decided."""
 
     atoms: frozenset[Atom]
     relations: Mapping[str, TemporalRelation]
     idx: dict[str, int]
-    resolved: list[tuple[Atom, TemporalRelation]]
     start: tuple
 
 
@@ -378,10 +371,10 @@ def temporal_decide(
     """Branch-and-prune search for a weak order over all variables satisfying
     every atom's order-type set, merging Eq pairs and separating Neq pairs.
 
-    Each atom goes to the kernel as variable-index pairs plus the status bits
-    each allowed pattern induces on them.  A relation is resolved once per
-    call, together with the patterns of its atoms with distinct arguments;
-    only an atom that repeats an argument looks up the patterns of its shape.
+    Each relational atom goes to the kernel as variable-index pairs plus the
+    status bits each allowed pattern of its shape induces on them, in the
+    order ``inst.atoms`` iterates: the kernel's root fixpoint and result do
+    not depend on that order (see ``_kernels.pure``).
 
     Facts are read off the kernel's root fixpoint: a pair left at exactly
     ``=`` is entailed equal, a pair without ``=`` entailed distinct.  A
@@ -389,12 +382,13 @@ def temporal_decide(
 
     ``base`` is an earlier result of this decide.  When inst holds base's
     atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
-    keeps base's index map and resolved atoms, and the kernel resumes from
-    base's root fixpoint with just the added atoms' constraints, which
-    reaches the root fixpoint and result of a fresh decide (see
-    ``_kernels.pure``).  Otherwise (no token, other relations, an atom of
-    base missing, an added relational atom or variable) the decide starts
-    afresh.  Either way the witness is replayed against every atom of inst.
+    keeps base's index map, and the kernel resumes from base's root
+    fixpoint with just the added atoms' constraints, which reaches the root
+    fixpoint and result of a fresh decide (see ``_kernels.pure``).
+    Otherwise (no token, other relations, an atom of base missing, an added
+    relational atom or variable) the decide starts afresh, and all of inst's
+    atoms count as added.  Either way the witness is replayed against every
+    atom of inst.
     """
     prior = base.resume if base is not None else None
     if prior is not None:
@@ -406,63 +400,47 @@ def temporal_decide(
             or any(a.kind == REL or not idx.keys() >= set(a.args) for a in added)
         ):
             prior = None
+    atoms = []
     if prior is None:
+        added = inst.atoms
         idx = {v: i for i, v in enumerate(inst.variables)}
-        ordered = inst.sorted_atoms()
-        atoms = []
-        resolved: list[tuple[Atom, TemporalRelation]] = []
-        by_name: dict[str, tuple[TemporalRelation, tuple]] = {}
-        for atom in ordered:
+        for atom in inst.atoms:
             if atom.kind != REL:
                 continue
             name = atom.symbol.name
-            entry = by_name.get(name)
-            if entry is None:
-                relation = relations.get(name) or relation_for_name(name)
-                if relation is None:
-                    raise ContractViolation(f"unresolved relation {name!r}")
-                distinct = _atom_patterns(relation, tuple(range(relation.arity)))
-                entry = by_name[name] = (relation, distinct)
-            relation, (slots, patterns) = entry
+            relation = relations.get(name) or relation_for_name(name)
+            if relation is None:
+                raise ContractViolation(f"unresolved relation {name!r}")
             if relation.arity != len(atom.args):
                 raise ContractViolation(f"relation {name!r} arity mismatch")
-            positions = [idx[v] for v in atom.args]
-            if len(set(positions)) != len(positions):
-                shape = tuple(map(positions.index, positions))
-                slots, patterns = _atom_patterns(relation, shape)
-            resolved.append((atom, relation))
-            atoms.append(
-                (tuple([(positions[u], positions[w]) for u, w in slots]), patterns)
-            )
-        atoms = tuple(atoms)
-    else:
-        # the start's root meets base's atoms: only the added eq/neq atoms
-        # need turning into constraints, and the kernel prepares no atoms
-        atoms, resolved, ordered = (), prior.resolved, added
+            args = atom.args
+            slots, patterns = _atom_patterns(relation, tuple(map(args.index, args)))
+            pairs = tuple([(idx[args[u]], idx[args[w]]) for u, w in slots])
+            atoms.append((pairs, patterns))
     n = len(idx)
 
     constraints = []
-    for atom in ordered:
-        if atom.kind == EQ:
-            i, j = idx[atom.args[0]], idx[atom.args[1]]
-            if i != j:
-                constraints.append((i, j, EQ_BIT))
-        elif atom.kind == NEQ:
-            i, j = idx[atom.args[0]], idx[atom.args[1]]
+    for atom in added:
+        if atom.kind == REL:
+            continue
+        i, j = idx[atom.args[0]], idx[atom.args[1]]
+        if atom.kind == NEQ:
             if i == j:
                 return UNSAT
-            constraints.append((i, j, LT_BIT | GT_BIT))
+            constraints.append((i, j, LT | GT))
+        elif i != j:
+            constraints.append((i, j, EQB))
 
     root: list[tuple] = []
     start = prior.start if prior else None
-    ranks = _kernels.temporal_search(n, atoms, tuple(constraints), root, start)
+    ranks = _kernels.temporal_search(n, tuple(atoms), tuple(constraints), root, start)
     if ranks is None:
         return UNSAT
 
     witness = {v: ranks[idx[v]] for v in inst.variables}
-    for atom, relation in resolved:
-        if not relation.admits(tuple(witness[v] for v in atom.args)):
-            raise WitnessCheckFailed(f"temporal witness violates {atom}")
+    violated = _violated_atom(inst, witness, relations, None)
+    if violated is not None:
+        raise WitnessCheckFailed(f"temporal witness violates {violated}")
     if not realizes(witness, inst):
         raise WitnessCheckFailed("temporal witness violates an eq or neq atom")
     if not root:
@@ -474,11 +452,11 @@ def temporal_decide(
         if i is None or j is None:
             return None
         status = state[i * n + j]
-        if status == EQ_BIT:
+        if status == EQB:
             return EQ
-        return None if status & EQ_BIT else NEQ
+        return None if status & EQB else NEQ
 
-    resume = _Resume(inst.atoms, relations, idx, resolved, root[0])
+    resume = _Resume(inst.atoms, relations, idx, root[0])
     return SolveResult(True, witness, facts, resume)
 
 
@@ -503,7 +481,10 @@ def _prepared(forbidden: tuple[Digraph, ...]):
 
 def arcs_consistent(arcs: set[tuple[str, str]], prepared_forbidden) -> bool:
     """True when the digraph on these arcs has no loop and no digon and
-    omits every forbidden tournament (induced match)."""
+    omits every forbidden tournament (induced match).  The empty digraph
+    omits every tournament, so it costs no kernel call."""
+    if not arcs:
+        return True
     for a, b in arcs:
         if a == b or (b, a) in arcs:
             return False
@@ -544,18 +525,29 @@ def check_value_witness(
     if not isinstance(values, Mapping) or not realizes(values, inst):
         return False
     fixed = KINDS[solver.kind].relations
+    return _violated_atom(inst, values, solver.relations, fixed) is None
+
+
+def _violated_atom(
+    inst: Instance,
+    values: Mapping[str, int],
+    relations: Mapping[str, TemporalRelation],
+    fixed: Mapping[str, int] | None,
+) -> Atom | None:
+    """The first relational atom of inst whose values' order type its
+    relation does not allow, or None.  A relation comes from ``relations``
+    or else the builtin binary ones; an atom whose name resolves to neither,
+    or that ``fixed`` (when not None) does not name, counts as violated."""
     for atom in inst.atoms:
         if atom.kind != REL:
             continue
         name = atom.symbol.name
-        if fixed is not None and name not in fixed:
-            return False
-        relation = solver.relations.get(name) or relation_for_name(name)
-        if relation is None:
-            return False
+        relation = relations.get(name) or relation_for_name(name)
+        if relation is None or (fixed is not None and name not in fixed):
+            return atom
         if canonical_ranks(tuple(values[v] for v in atom.args)) not in relation.allowed:
-            return False
-    return True
+            return atom
+    return None
 
 
 def check_henson_witness(forbidden, inst: Instance, witness: HensonWitness) -> bool:

@@ -217,7 +217,8 @@ def test_leq_chain_closed_into_a_cycle_is_equal_at_the_root(monkeypatch):
 def test_root_list_receives_the_root_fixpoint(monkeypatch):
     # root gets the table the single root _propagate left, untouched by the
     # branches below it, and stays empty when the root fails; asking for it
-    # changes no result
+    # changes no result, and neither does the order of the atoms and
+    # constraints (chaotic iteration reaches one fixpoint in any order)
     calls = _count_propagations(monkeypatch)
     rng = random.Random(151)
     roots = 0
@@ -232,6 +233,11 @@ def test_root_list_receives_the_root_fixpoint(monkeypatch):
         else:
             assert root == []
         assert result == pure.temporal_search(n, atoms, constraints)
+        reversed_root = []
+        assert result == pure.temporal_search(
+            n, atoms[::-1], constraints[::-1], reversed_root
+        )
+        assert [bytes(r[0]) for r in reversed_root] == [bytes(r[0]) for r in root]
     assert 0 < roots < 3000
 
 

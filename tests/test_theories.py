@@ -189,12 +189,25 @@ def test_entails_eq_examples():
 
 
 def test_wrong_kernel_ranks_fail_the_witness_check(monkeypatch):
-    # the kernel's answer is replayed against every atom, also under -O
+    # the kernel's answer is replayed against every atom, also under -O,
+    # and also when the decide resumes from an earlier result
     inst = make_instance([rel(LT, "x", "y")])
-    assert temporal_decide(inst, {}).witness == {"x": 0, "y": 1}
-    monkeypatch.setattr(_kernels, "temporal_search", lambda *args: (1, 0))
+    relations = {}
+    first = temporal_decide(inst, relations)
+    assert first.witness == {"x": 0, "y": 1}
+    starts = []
+
+    def wrong(n, atoms, constraints, root=None, start=None):
+        starts.append(start)
+        return (1, 0)
+
+    monkeypatch.setattr(_kernels, "temporal_search", wrong)
     with pytest.raises(WitnessCheckFailed, match="lt"):
-        temporal_decide(inst, {})
+        temporal_decide(inst, relations)
+    extended = make_instance([rel(LT, "x", "y"), eq("x", "y")])
+    with pytest.raises(WitnessCheckFailed, match="lt"):
+        temporal_decide(extended, relations, first)
+    assert starts == [None, first.resume.start]
 
 
 def test_relation_from_predicate():
