@@ -103,8 +103,9 @@ def propagate_step(
     plus what the parts before it found in this pass, and only about the
     pairs its own models tie and its classes keep apart.  Empty result
     signals a fixpoint; None, that a part rejects the equalities it is
-    handed, all entailed, so the combined problem is unsatisfiable.  The
-    pass stops once the shared variables form one class.
+    handed, all entailed, so the combined problem is unsatisfiable.  One
+    union-find of the shared variables takes each part's finds as they are
+    added; the pass stops once it holds one class.
 
     ``contexts`` holds each part's context from the passes before, to keep,
     resume or carry models from, and is updated in place.  A part adds its
@@ -115,11 +116,12 @@ def propagate_step(
     shared = sorted(problem.shared)
     contexts = {} if contexts is None else contexts
     found: set[Atom] = set()
+    classes = _classes(learned, shared)
     for tid in sorted(problem.parts):
-        decisions = learned | found
-        rep = _reps(decisions, shared)
+        rep = classes.mapping()
         if len(set(rep.values())) < 2:
             break
+        decisions = learned | found
         ok, decided = _decide_parts(problem, decisions, contexts, (tid,))
         if not ok:
             return None
@@ -136,6 +138,8 @@ def propagate_step(
         if own:
             contexts[tid] = ctx._replace(decisions=ctx.decisions | own)
             found |= own
+            for atom in own:
+                classes.union(*atom.args)
     return found
 
 
@@ -271,14 +275,13 @@ def _sat(
     return SolveResult(True, witness)
 
 
-def _reps(decisions: Iterable[Atom], variables: Iterable[str]) -> dict[str, str]:
-    """Representative of each variable under the ``eq`` atoms among the
-    decisions."""
+def _classes(decisions: Iterable[Atom], variables: Iterable[str]) -> UnionFind:
+    """The variables' classes under the ``eq`` atoms among the decisions."""
     classes = UnionFind(variables)
     for atom in decisions:
         if atom.kind == EQ:
             classes.union(*atom.args)
-    return classes.mapping()
+    return classes
 
 
 def _blocks(rep: dict[str, str], shared: list[str]) -> tuple[tuple[str, ...], ...]:
@@ -366,7 +369,7 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
         ok, contexts = _decide_parts(problem, decisions, parent)
         if not ok:
             continue
-        rep = _reps(decisions, shared)
+        rep = _classes(decisions, shared).mapping()
         pending = _undecided_pairs(decisions, rep, shared)
         if not pending:
             return _sat(_blocks(rep, shared), contexts)
@@ -413,7 +416,7 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
         learned |= new
 
     shared = sorted(problem.shared)
-    blocks = _blocks(_reps(learned, shared), shared)
+    blocks = _blocks(_classes(learned, shared).mapping(), shared)
     apart = {neq(a[0], b[0]) for i, a in enumerate(blocks) for b in blocks[i + 1 :]}
     ok, final = _decide_parts(problem, learned | apart, contexts)
     if not ok:

@@ -247,9 +247,12 @@ def _check_ident(token: str, what: str, line_no: int | None = None) -> str:
     return token
 
 
-def _parse_ordertype(token: str, arity: int, line_no: int) -> tuple[int, ...]:
-    from .theories import is_weak_order
+def is_weak_order(ranks: tuple[int, ...]) -> bool:
+    used = set(ranks)
+    return used == set(range(len(used)))
 
+
+def _parse_ordertype(token: str, arity: int, line_no: int) -> tuple[int, ...]:
     ranks = []
     for piece in token.split("/"):
         if not piece.isdigit():
@@ -297,18 +300,19 @@ def _tournament(token: str) -> Digraph:
 
 
 def parse_problem(text: str) -> Problem:
-    """Parse the line-oriented instance file format into a resolved Problem."""
+    """Parse the line-oriented instance file format into a resolved Problem,
+    building the instance as the lines are read."""
     from .theories import KINDS, TemporalRelation, TheorySolver, builtin_mi
 
     theories: dict[str, TheorySolver] = {}
     symbols: dict[tuple[str, str], RelationSymbol] = {}
     atoms: list[Atom] = []
-    names: set[str] = set()  # variable names already checked
+    names: set[str] = set()  # variable names checked: the instance's variables
 
-    def variable(token: str, line_no: int) -> str:
-        if token not in names:
-            names.add(_check_ident(token, "variable", line_no))
-        return token
+    def check_variables(tokens: Iterable[str], line_no: int) -> None:
+        for token in tokens:
+            if token not in names:
+                names.add(_check_ident(token, "variable", line_no))
 
     def declare(tid: str, name: str, arity: int, line_no: int,
                 semantics=None) -> None:
@@ -319,14 +323,37 @@ def parse_problem(text: str) -> Problem:
         if semantics is not None:
             theories[tid].relations[name] = semantics
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
 
-        if head == "theory":
+        if head == "atom":
+            if len(tokens) < 3:
+                raise ParseError("atom line too short", line_no)
+            tid, name = tokens[1], tokens[2]
+            symbol = symbols.get((tid, name))
+            if symbol is None:
+                if tid not in theories:
+                    raise ParseError(f"undeclared theory {tid!r}", line_no)
+                raise ParseError(f"undeclared relation {tid}.{name}", line_no)
+            args = tuple(tokens[3:])
+            check_variables(args, line_no)
+            if len(args) != symbol.arity:
+                raise ParseError(
+                    f"{tid}.{name} expects {symbol.arity} arguments, got {len(args)}",
+                    line_no,
+                )
+            atoms.append(Atom(REL, symbol, args))
+
+        elif head in (EQ, NEQ):
+            if len(tokens) != 3:
+                raise ParseError(f"{head} needs exactly two variables", line_no)
+            check_variables(tokens[1:], line_no)
+            atoms.append((eq if head == EQ else neq)(tokens[1], tokens[2]))
+
+        elif head == "theory":
             if len(tokens) < 3:
                 raise ParseError("theory line needs an id and a kind", line_no)
             tid = _check_ident(tokens[1], "theory id", line_no)
@@ -394,35 +421,10 @@ def parse_problem(text: str) -> Problem:
             else:
                 raise ParseError(f"unknown relation mode {mode!r}", line_no)
 
-        elif head == "atom":
-            if len(tokens) < 3:
-                raise ParseError("atom line too short", line_no)
-            tid, name = tokens[1], tokens[2]
-            if tid not in theories:
-                raise ParseError(f"undeclared theory {tid!r}", line_no)
-            key = (tid, name)
-            if key not in symbols:
-                raise ParseError(f"undeclared relation {tid}.{name}", line_no)
-            args = [variable(t, line_no) for t in tokens[3:]]
-            symbol = symbols[key]
-            if len(args) != symbol.arity:
-                raise ParseError(
-                    f"{tid}.{name} expects {symbol.arity} arguments, got {len(args)}",
-                    line_no,
-                )
-            atoms.append(Atom(REL, symbol, tuple(args)))
-
-        elif head in (EQ, NEQ):
-            if len(tokens) != 3:
-                raise ParseError(f"{head} needs exactly two variables", line_no)
-            x = variable(tokens[1], line_no)
-            y = variable(tokens[2], line_no)
-            atoms.append(eq(x, y) if head == EQ else neq(x, y))
-
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    return Problem(theories, symbols, make_instance(atoms))
+    return Problem(theories, symbols, Instance(frozenset(atoms), tuple(sorted(names))))
 
 
 def render_problem(problem: Problem) -> str:

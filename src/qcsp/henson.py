@@ -16,7 +16,7 @@ from .formulas import (
     RelationSymbol,
     UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
-    make_instance,
+    make_instance,  # bound here for perfbench/spans.py's tracer
     merge_equalities,
     neq,
 )
@@ -58,7 +58,7 @@ def build_s_star(inst: Instance, e_symbol: RelationSymbol | None = None) -> Inst
     atoms.add(Atom(REL, symbol, (x0, x0)))
     for v in inst.variables:
         atoms.add(neq(x0, v))
-    return make_instance(atoms)
+    return Instance(frozenset(atoms), tuple(sorted((*inst.variables, x0))))
 
 
 def component_label_solve(inst: Instance, forbidden) -> SolveResult:

@@ -6,10 +6,11 @@ temporal (relations given extensionally as sets of allowed order types),
 henson (digraphs omitting a fixed set of finite tournaments) and henson_b1
 (the same digraphs plus one loop vertex, used by the reduction machinery).
 Each record holds the relations the kind fixes, its decide and its witness
-replay.  Every decide merges the ``eq`` atoms of its instance itself (all
-but temporal by ``formulas.merge_equalities``), so on SAT it returns a
-replayable witness over every variable of the instance and, keyed by those
-same names, the (dis)equalities it can read off its own fixpoint.
+replay.  Every decide merges the ``eq`` atoms of its instance itself (point
+algebra as arcs, temporal as constraints, the rest by ``merge_equalities``),
+so on SAT it returns a replayable witness over every variable of the instance
+and, keyed by those same names, the (dis)equalities it can read off its own
+fixpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ from .formulas import (
     Instance,
     UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
+    is_weak_order,
+    make_instance,
     merge_equalities,
+    neq,
     realizes,
 )
 
@@ -49,11 +53,6 @@ def canonical_ranks(values: tuple[int, ...]) -> tuple[int, ...]:
     Memoized: witness replay asks for the same few short tuples many times."""
     rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
     return tuple(rank_of[v] for v in values)
-
-
-def is_weak_order(ranks: tuple[int, ...]) -> bool:
-    used = set(ranks)
-    return used == set(range(len(used)))
 
 
 @dataclass(frozen=True)
@@ -199,37 +198,36 @@ def eq_decide(inst: Instance) -> SolveResult:
 def pa_decide(inst: Instance) -> SolveResult:
     """Point algebra over lt/leq: contract the strongly connected components
     of the weak-order digraph, each named by its least member, then reject
-    strict or disequality atoms that fold into a single component.  The
-    witness ranks the components along the topological order that takes the
-    least name first.
+    strict or disequality atoms that fold into a single component.  One
+    pass over the atoms builds the digraph, an ``eq`` atom as an arc each
+    way, so no separate merge of the equalities runs.  The witness ranks the
+    components along the topological order that takes the least name first.
 
     Facts: one component entails equal.  Two components are entailed
     distinct when a disequality joins them or a path with a strict edge runs
     from one to the other."""
     check_relations(inst, "point_algebra")
-    rep_of, rels, neqs = merge_equalities(inst)
 
-    succ: dict[str, set[str]] = {r: set() for r in rep_of.values()}
+    succ: dict[str, set[str]] = {v: set() for v in inst.variables}
     strict: list[tuple[str, str]] = []
-    for symbol, pairs in rels.items():
-        for a, b in pairs:
-            succ[a].add(b)
-        if symbol.name == "lt":
-            strict += pairs
+    neqs: list[tuple[str, str]] = []
+    for kind, symbol, (a, b) in inst.atoms:
+        if kind == NEQ:
+            neqs.append((a, b))
+            continue
+        succ[a].add(b)
+        if kind == EQ:
+            succ[b].add(a)
+        elif symbol.name == "lt":
+            strict.append((a, b))
 
     comp = _components(succ)
 
-    strict_comps: set[tuple[str, str]] = set()
-    for a, b in strict:
-        if comp[a] == comp[b]:
-            return UNSAT
-        strict_comps.add((comp[a], comp[b]))
-    neq_comps: set[tuple[str, str]] = set()
-    for a, b in neqs:
-        ca, cb = comp[a], comp[b]
-        if ca == cb:
-            return UNSAT
-        neq_comps.update(((ca, cb), (cb, ca)))
+    strict_comps = {(comp[a], comp[b]) for a, b in strict}
+    neq_comps = {(comp[a], comp[b]) for a, b in neqs}
+    if any(ca == cb for ca, cb in strict_comps | neq_comps):
+        return UNSAT
+    neq_comps |= {(cb, ca) for ca, cb in neq_comps}
 
     # rank components along a topological order, least name first
     out: dict[str, set[str]] = {c: set() for c in comp.values()}
@@ -252,8 +250,7 @@ def pa_decide(inst: Instance) -> SolveResult:
             if indegree[d] == 0:
                 heapq.heappush(heap, d)
 
-    comp_of = {v: comp[r] for v, r in rep_of.items()}
-    witness = {v: rank_of[c] for v, c in comp_of.items()}
+    witness = {v: rank_of[c] for v, c in comp.items()}
     below: dict[str, set[str]] = {}
 
     def strictly_below(c: str) -> set[str]:
@@ -280,7 +277,7 @@ def pa_decide(inst: Instance) -> SolveResult:
             or cx in strictly_below(cy)
         )
 
-    return SolveResult(True, witness, _partition_facts(comp_of, distinct))
+    return SolveResult(True, witness, _partition_facts(comp, distinct))
 
 
 def _components(succ: Mapping[str, set[str]]) -> dict[str, str]:
@@ -607,8 +604,6 @@ class TheorySolver:
         unsatisfiable.  When it is satisfiable and ``counter_models`` is
         given, the witness separating x and y is appended to that list.
         ``base`` is passed on to the decide of the extended instance."""
-        from .formulas import make_instance, neq
-
         extended = make_instance(set(inst.atoms) | {neq(x, y)})
         result = self.decide(extended, base)
         if result.sat and counter_models is not None:

@@ -122,6 +122,30 @@ def test_parse_unknown_directive():
         parse_problem("frobnicate x y\n")
 
 
+def test_parse_trailing_comment_on_an_atom_line():
+    problem = parse_problem("theory t1 point_algebra\natom t1 lt x y  # x first\n")
+    assert problem.instance.atoms == frozenset({rel(RelationSymbol("t1", "lt", 2), "x", "y")})
+    assert problem.instance.variables == ("x", "y")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # an atom line before its theory line names the theory
+        ("atom t1 lt x y\ntheory t1 point_algebra\n", "line 1: undeclared theory 't1'"),
+        ("theory t1 point_algebra\natom t1 le x y\n", "line 2: undeclared relation t1.le"),
+        # the relation is resolved before the variables, and they before the arity
+        ("theory t1 point_algebra\natom t1 le x 9y\n", "line 2: undeclared relation t1.le"),
+        ("theory t1 point_algebra\n\natom t1 lt x 9y z\n", "line 3: invalid variable '9y'"),
+        ("theory t1 equality\neq x y\n# c\nneq y 9y\n", "line 4: invalid variable '9y'"),
+    ],
+)
+def test_parse_errors_keep_their_order_and_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
+
+
 def test_collapse_transitive():
     symbol = RelationSymbol("t1", "R", 2)
     inst = make_instance([eq("x", "y"), eq("y", "z"), rel(symbol, "x", "z")])
@@ -247,6 +271,17 @@ def test_render_round_trip_fixture_files():
         problem = parse_problem(path.read_text())
         again = parse_problem(render_problem(problem))
         assert again == problem
+
+
+def test_parsed_variables_are_those_of_the_atoms():
+    # Instance equality ignores the variables, so compare them themselves
+    import pathlib
+
+    for path in sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.qcsp")):
+        if path.name == "bad_arity.qcsp":
+            continue
+        instance = parse_problem(path.read_text()).instance
+        assert instance.variables == make_instance(instance.atoms).variables, path.name
 
 
 def test_render_round_trip_random_problems():

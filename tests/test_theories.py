@@ -16,7 +16,18 @@ from qcsp.checking import (
     check_value_witness,
 )
 from qcsp.analysis import probe_relations
-from qcsp.formulas import EQ, NEQ, RelationSymbol, eq, make_instance, neq, rel
+from qcsp.formulas import (
+    EQ,
+    NEQ,
+    Atom,
+    Instance,
+    RelationSymbol,
+    collapse_equalities,
+    eq,
+    make_instance,
+    neq,
+    rel,
+)
 from qcsp.oracle import brute_decide_theory
 from qcsp.theories import (
     KINDS,
@@ -98,6 +109,52 @@ def test_pa_decide_examples():
 def test_pa_decide_rejects_other_relations():
     with pytest.raises(ContractViolation):
         pa_decide(make_instance([rel(MI, "x", "y", "z")]))
+
+
+def _random_pa_instance_with_equalities(rng):
+    names = [chr(97 + i) for i in range(rng.randint(2, 7))]
+    atoms = [
+        rel(rng.choice((LT, LEQ, LEQ)), *rng.sample(names, 2))
+        for _ in range(rng.randint(0, 6))
+    ]
+    run = rng.sample(names, rng.randint(2, len(names)))
+    atoms += [eq(x, y) for x, y in zip(run, run[1:])]  # an eq chain
+    x, y, z = (rng.choice(names) for _ in range(3))
+    atoms += [rel(LEQ, x, y), rel(LEQ, y, z), eq(z, x)]  # eq closing a leq cycle
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.2:
+            v = rng.choice(names)
+            atoms.append(Atom(NEQ, None, (v, v)))  # reflexive
+        else:
+            atoms.append(neq(*rng.sample(names, 2)))  # maybe inside one class
+    return make_instance(atoms)
+
+
+def test_pa_decide_takes_eq_atoms_as_arcs_like_a_collapse():
+    # one digraph with each eq atom as an arc both ways decides as the
+    # instance whose equalities are collapsed first, read back through the
+    # variable map: same verdict, witness and facts
+    rng = random.Random(191)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        inst = _random_pa_instance_with_equalities(rng)
+        collapsed, var_map = collapse_equalities(inst)
+        # a class joined only by eq atoms still takes a rank of its own
+        reps = Instance(collapsed.atoms, tuple(sorted(set(var_map.values()))))
+        expected, result = pa_decide(reps), pa_decide(inst)
+        assert result.sat == expected.sat, inst
+        verdicts[result.sat] += 1
+        if not result.sat:
+            continue
+        assert list(result.witness.items()) == [
+            (v, expected.witness[var_map[v]]) for v in inst.variables
+        ], inst
+        for x in inst.variables:
+            for y in inst.variables:
+                assert result.facts(x, y) == expected.facts(var_map[x], var_map[y]), (
+                    inst, x, y,
+                )
+    assert min(verdicts.values()) > 100
 
 
 def test_temporal_decide_examples():
