@@ -1,29 +1,28 @@
 """The kernels for the hot solver loops, in pure Python.
 
 Pair statuses are bitmasks over {1: <, 2: =, 4: >} for ordered variable
-pairs, held in a flat n*n byte table with table[j*n+i] the flip of
-table[i*n+j].  The temporal search enforces path consistency over the full
-point-algebra composition (Vilain & Kautz 1986; van Beek 1992) plus support
-for every atom, driven by a worklist of changed pairs, and then branches.
-On request it also hands back the fixpoint reached at the root: a status
-left at exactly ``=`` is entailed equal, one without ``=`` entailed
-distinct, since propagation removes only statuses that no solution has.
-The search returns the solution that is least in the fixed pair order, so
-its result, witness included, is deterministic.
+pairs, in a flat n*n byte table with table[j*n+i] the flip of table[i*n+j].
+The temporal search enforces path consistency over the full point-algebra
+composition (Vilain & Kautz 1986; van Beek 1992) plus support for every
+atom, driven by a worklist of changed pairs, and then branches.  It returns
+the least solution in the fixed pair order, witness included, and on
+request the root fixpoint: a status left at exactly ``=`` is entailed
+equal, one without ``=`` entailed distinct, since propagation removes only
+statuses that no solution has.  A later search over the same atoms with
+more constraints resumes from that root: it copies the table, applies the
+constraints and queues only the pairs they change and the atoms watching
+them.  The old root is a fixpoint of a subset of the new propagators above
+the new greatest fixpoint, so chaotic iteration from it reaches that same
+fixpoint (Apt, TCS 1999), as a branch child does from its parent, and the
+search below it finds what a fresh search finds.
 
-A later search over the same atoms with more constraints can resume from
-that root: it copies the table, applies the constraints, and queues only
-the pairs they change and the atoms watching them.  The old root is a
-fixpoint of a subset of the new propagators that lies above the new
-greatest fixpoint, so chaotic iteration from it reaches that same fixpoint
-(Apt, TCS 1999), exactly as a branch child does from its parent; the search
-below the root, and so the result, is the one a fresh search finds.
+The tournament-embedding search backtracks over vertex sets held as
+integers, intersecting the one-way arc sets of the vertices placed so far.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 LT = 1
 EQB = 2
@@ -270,22 +269,48 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
     return None
 
 
-def find_induced_embedding(n, adj, tournaments):
-    """True when some forbidden tournament embeds into the n-vertex digraph.
+@lru_cache(maxsize=256)
+def _placements(k, arcs):
+    """The steps placing a pattern's vertices 0..k-1: steps[t] gives each
+    s < t the side of s's sets that must hold t (0 in, 1 out, 2 all but s).
+    None when a loop or an arc both ways can map to no one-way arc."""
+    if any((w, u) in arcs for u, w in arcs):
+        return None
+    side = {(w, u): 0 for u, w in arcs} | dict.fromkeys(arcs, 1)
+    return tuple(tuple((s, side.get((s, t), 2)) for s in range(t)) for t in range(k))
 
-    adj is a flat n*n 0/1 table; an embedding is injective, maps every
-    tournament arc to a present arc whose reverse is absent.
+
+def find_induced_embedding(n, adj, tournaments):
+    """True when some forbidden tournament embeds into the n-vertex digraph:
+    injectively, each arc onto a present arc whose reverse is absent.
+
+    A tournament with more vertices than n or more arcs than adj holds is
+    skipped before any set is built.  adj holds 0/1 entries, so row a and
+    column a (``adj[a::n]``) read as integers give a byte per vertex and
+    a's one-way out- and in-sets (a loop is never one-way).  Tournament
+    vertices are placed in order on the intersection of the sets their
+    arcs pick from the earlier images (Ullmann, JACM 1976).
     """
+    sets = None
     for k, arcs in tournaments:
-        if k > n:
+        if k > n or len(arcs) > adj.count(1) or (steps := _placements(k, arcs)) is None:
             continue
-        for image in permutations(range(n), k):
-            ok = True
-            for u, w in arcs:
-                a, b = image[u], image[w]
-                if not adj[a * n + b] or adj[b * n + a]:
-                    ok = False
-                    break
-            if ok:
+        if sets is None:
+            sets, full = [], int.from_bytes(b"\x01" * n, "little")
+            for a in range(n):
+                out = int.from_bytes(adj[a * n : a * n + n], "little")
+                into = int.from_bytes(adj[a::n], "little")
+                sets.append((into & ~out, out & ~into, ~(1 << 8 * a)))
+        stack = [()]
+        while stack:
+            image = stack.pop()
+            if len(image) == len(steps):
                 return True
+            cands = full
+            for s, side in steps[len(image)]:
+                cands &= image[s][side]
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                stack.append(image + (sets[low.bit_length() >> 3],))
     return False

@@ -199,22 +199,26 @@ def pa_decide(inst: Instance) -> SolveResult:
     """Point algebra over lt/leq: contract the strongly connected components
     of the weak-order digraph, each named by its least member, then reject
     strict or disequality atoms that fold into a single component.  One
-    pass over the atoms builds the digraph, an ``eq`` atom as an arc each
-    way, so no separate merge of the equalities runs.  The witness ranks the
-    components along the topological order that takes the least name first.
+    pass over the atoms checks their relations as ``check_relations`` does
+    and builds the digraph, an ``eq`` atom as an arc each way, so no merge
+    of the equalities runs.  The witness ranks the components along the
+    topological order that takes the least name first.
 
     Facts: one component entails equal.  Two components are entailed
     distinct when a disequality joins them or a path with a strict edge runs
     from one to the other."""
-    check_relations(inst, "point_algebra")
-
+    fixed = KINDS["point_algebra"].relations
     succ: dict[str, set[str]] = {v: set() for v in inst.variables}
     strict: list[tuple[str, str]] = []
     neqs: list[tuple[str, str]] = []
-    for kind, symbol, (a, b) in inst.atoms:
+    for kind, symbol, args in inst.atoms:
         if kind == NEQ:
-            neqs.append((a, b))
+            neqs.append(args)
             continue
+        if kind == REL and fixed.get(symbol.name) != len(args):
+            msg = f"point_algebra solver got relation {symbol.name!r}/{len(args)}"
+            raise ContractViolation(msg)
+        a, b = args
         succ[a].add(b)
         if kind == EQ:
             succ[b].add(a)

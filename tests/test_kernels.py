@@ -1,7 +1,7 @@
 """Kernel tests: the temporal search against a brute-force least solution,
 its propagation fixpoint, the root fixpoint it hands back and a search
 resumed from it, and the induced-embedding search against a brute-force
-reference."""
+reference and under relabelling."""
 
 import random
 from itertools import combinations, permutations
@@ -59,28 +59,68 @@ def _embeds(n, adj, tournaments):
     return False
 
 
+def _tournaments(k):
+    """Every tournament on vertices 0..k-1, one per way to orient the pairs."""
+    pairs = list(combinations(range(k), 2))
+    for bits in range(1 << len(pairs)):
+        yield k, tuple(
+            (u, w) if bits >> i & 1 else (w, u) for i, (u, w) in enumerate(pairs)
+        )
+
+
+# 1 + 1 + 2 + 8 + 64 tournaments on 0-4 vertices
+TOURNAMENTS = [t for k in range(5) for t in _tournaments(k)]
+
+
+def _random_pattern(rng):
+    """Mostly a tournament; now and then any arc set on up to 4 vertices,
+    with loops, digons and missing pairs, for which the answer stays exact."""
+    if rng.random() < 0.8:
+        return rng.choice(TOURNAMENTS)
+    k = rng.randint(1, 4)
+    arcs = [(u, w) for u in range(k) for w in range(k) if rng.random() < 0.3]
+    return k, tuple(arcs)
+
+
+def _random_embedding_case(rng):
+    """Up to 7 vertices, a table at a random density with loops and digons,
+    and up to 4 patterns."""
+    n = rng.randint(0, 7)
+    density = rng.random()
+    adj = bytearray(rng.random() < density for _ in range(n * n))
+    return n, adj, tuple(_random_pattern(rng) for _ in range(rng.randint(0, 4)))
+
+
 def test_induced_embedding_matches_brute_force():
     rng = random.Random(137)
-    c3 = (3, ((0, 1), (1, 2), (2, 0)))
-    t3 = (3, ((0, 1), (0, 2), (1, 2)))
-    arc2 = (2, ((0, 1),))
     found = 0
     for _ in range(3000):
-        n = rng.randint(0, 6)
-        adj = bytearray(n * n)
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.4:
-                    adj[i * n + j] = 1
-        tournaments = tuple(
-            t for t in (c3, t3, arc2) if rng.random() < 0.7
-        )
+        n, adj, tournaments = _random_embedding_case(rng)
         expected = _embeds(n, adj, tournaments)
         assert pure.find_induced_embedding(n, adj, tournaments) == expected, (
             n, bytes(adj), tournaments
         )
         found += expected
     assert 0 < found < 3000
+    # the 0-vertex tournament embeds into every digraph, the empty one too
+    assert pure.find_induced_embedding(0, bytearray(), ((0, ()),))
+
+
+def test_induced_embedding_ignores_labels_and_tournament_order():
+    rng = random.Random(139)
+    for _ in range(1000):
+        n, adj, tournaments = _random_embedding_case(rng)
+        perm = rng.sample(range(n), n)
+        relabelled = bytearray(n * n)
+        for a in range(n):
+            for b in range(n):
+                relabelled[perm[a] * n + perm[b]] = adj[a * n + b]
+        shuffled = rng.sample(tournaments, len(tournaments))
+        assert pure.find_induced_embedding(
+            n, relabelled, tuple(shuffled)
+        ) == pure.find_induced_embedding(n, adj, tournaments), (
+            n, bytes(adj), tournaments, perm
+        )
 
 
 def _status(ranks, i, j):
