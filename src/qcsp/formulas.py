@@ -255,7 +255,7 @@ def is_weak_order(ranks: tuple[int, ...]) -> bool:
 def _parse_ordertype(token: str, arity: int, line_no: int) -> tuple[int, ...]:
     ranks = []
     for piece in token.split("/"):
-        if not piece.isdigit():
+        if not (piece.isascii() and piece.isdigit()):
             raise ParseError(f"bad rank {piece!r} in order type", line_no)
         ranks.append(int(piece))
     if len(ranks) != arity:
@@ -400,7 +400,7 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("relation needs a <name>/<arity> token", line_no)
             name, arity_s = tokens[2].rsplit("/", 1)
             _check_ident(name, "relation name", line_no)
-            if not arity_s.isdigit() or int(arity_s) < 1:
+            if not (arity_s.isascii() and arity_s.isdigit()) or int(arity_s) < 1:
                 raise ParseError(f"bad arity {arity_s!r}", line_no)
             arity = int(arity_s)
             mode = tokens[3]

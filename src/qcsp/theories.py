@@ -9,8 +9,9 @@ Each record holds the relations the kind fixes, its decide and its witness
 replay.  Every decide merges the ``eq`` atoms of its instance itself (point
 algebra as arcs, temporal as constraints, the rest by ``merge_equalities``),
 so on SAT it returns a replayable witness over every variable of the instance
-and, keyed by those same names, the (dis)equalities it can read off its own
-fixpoint.
+and, as data keyed by those same names, the facts it reads off its own
+fixpoint: the partition of the variables into entailed-equal classes and a
+test of which classes are entailed distinct.
 """
 
 from __future__ import annotations
@@ -105,28 +106,37 @@ def witness_values(witness) -> Mapping[str, object]:
     return witness or {}
 
 
-def _no_facts(x: str, y: str) -> str | None:
-    return None
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """A verdict, its witness, and on SAT the entailed facts of the decided
-    instance: ``facts(x, y)`` is ``EQ`` when every model has x = y, ``NEQ``
-    when none has, and None when the solver cannot tell cheaply.  The facts
-    are a sound subset, read off lazily, one pair per call.  ``resume`` is
-    an opaque token a later decide of a larger instance may start from."""
+    instance as data.  ``classes`` maps each variable to the least member of
+    its class, the variables every model makes equal, and is empty when the
+    decide reports nothing; ``distinct(cx, cy)`` holds for two class names
+    when no model makes the classes equal.  The facts are a sound subset,
+    and ``facts`` is their one reader.  ``resume`` is an opaque token a
+    later decide of a larger instance may start from."""
 
     sat: bool
     witness: object | None = None
-    facts: Callable[[str, str], str | None] = field(
-        default=_no_facts, compare=False, repr=False
+    classes: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
+    distinct: Callable[[str, str], bool] | None = field(
+        default=None, compare=False, repr=False
     )
     resume: object | None = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
         return "SAT" if self.sat else "UNSAT"
+
+    def facts(self, x: str, y: str) -> str | None:
+        """``EQ`` when every model has x = y, ``NEQ`` when none has, and
+        None when the decide reported neither or does not know x or y."""
+        cx, cy = self.classes.get(x), self.classes.get(y)
+        if cx is None or cy is None:
+            return None
+        if cx == cy:
+            return EQ
+        return NEQ if self.distinct(cx, cy) else None
 
 
 UNSAT = SolveResult(False, None)
@@ -163,24 +173,6 @@ def relation_for_name(name: str) -> TemporalRelation | None:
     return _BINARY_RELATIONS.get(name)
 
 
-def _partition_facts(
-    rep: Mapping[str, str], distinct: Callable[[str, str], bool]
-) -> Callable[[str, str], str | None]:
-    """Facts of a partition whose classes ``rep`` names by their least
-    members: one class entails equal, and two classes for whose names
-    ``distinct`` holds entail distinct."""
-
-    def facts(x: str, y: str) -> str | None:
-        rx, ry = rep.get(x), rep.get(y)
-        if rx is None or ry is None:
-            return None
-        if rx == ry:
-            return EQ
-        return NEQ if distinct(rx, ry) else None
-
-    return facts
-
-
 def eq_decide(inst: Instance) -> SolveResult:
     """Equality theory over an infinite domain: UNSAT iff a disequality links
     one equality class to itself."""
@@ -191,8 +183,9 @@ def eq_decide(inst: Instance) -> SolveResult:
     # blocks are numbered in the order of their least members
     index = {rep: i for i, rep in enumerate(sorted(set(rep_of.values())))}
     witness = {v: index[rep] for v, rep in rep_of.items()}
-    facts = _partition_facts(rep_of, lambda a, b: (a, b) in apart or (b, a) in apart)
-    return SolveResult(True, witness, facts)
+    return SolveResult(
+        True, witness, rep_of, lambda a, b: (a, b) in apart or (b, a) in apart
+    )
 
 
 def pa_decide(inst: Instance) -> SolveResult:
@@ -281,7 +274,7 @@ def pa_decide(inst: Instance) -> SolveResult:
             or cx in strictly_below(cy)
         )
 
-    return SolveResult(True, witness, _partition_facts(comp, distinct))
+    return SolveResult(True, witness, comp, distinct)
 
 
 def _components(succ: Mapping[str, set[str]]) -> dict[str, str]:
@@ -378,8 +371,12 @@ def temporal_decide(
     not depend on that order (see ``_kernels.pure``).
 
     Facts are read off the kernel's root fixpoint: a pair left at exactly
-    ``=`` is entailed equal, a pair without ``=`` entailed distinct.  A
-    kernel that hands back no root state gives no facts.
+    ``=`` is entailed equal, a pair without ``=`` entailed distinct.  Path
+    consistency makes exactly ``=`` transitive, and the indices follow the
+    sorted variables, so the first exact-``=`` cell of a variable's row is
+    the least member of its class; two classes are distinct when the cell
+    of their names lacks ``=``.  A kernel that hands back no root state
+    gives no facts.
 
     ``base`` is an earlier result of this decide.  When inst holds base's
     atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
@@ -447,18 +444,14 @@ def temporal_decide(
     if not root:
         return SolveResult(True, witness)
     state = root[0][0]
+    names = list(idx)
+    classes = {v: names[state.find(EQB, i * n, i * n + n) % n] for v, i in idx.items()}
 
-    def facts(x: str, y: str) -> str | None:
-        i, j = idx.get(x), idx.get(y)
-        if i is None or j is None:
-            return None
-        status = state[i * n + j]
-        if status == EQB:
-            return EQ
-        return None if status & EQB else NEQ
+    def distinct(cx: str, cy: str) -> bool:
+        return not state[idx[cx] * n + idx[cy]] & EQB
 
     resume = _Resume(inst.atoms, relations, idx, root[0])
-    return SolveResult(True, witness, facts, resume)
+    return SolveResult(True, witness, classes, distinct, resume)
 
 
 def prepare_tournaments(
@@ -513,10 +506,12 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
         return UNSAT
     # every input variable goes to its class representative's vertex
     witness = HensonWitness(assignment=var_map, arcs=arcs)
-    facts = _partition_facts(
-        var_map, lambda a, b: any((a, b) in s or (b, a) in s for s in (neqs, arcs))
+    return SolveResult(
+        True,
+        witness,
+        var_map,
+        lambda a, b: any((a, b) in s or (b, a) in s for s in (neqs, arcs)),
     )
-    return SolveResult(True, witness, facts)
 
 
 def check_value_witness(
@@ -552,16 +547,20 @@ def _violated_atom(
 
 
 def check_henson_witness(forbidden, inst: Instance, witness: HensonWitness) -> bool:
-    """Replay a digraph witness: atoms hold under the assignment, the loop
+    """Replay a digraph witness: every relational atom is an arc of the
+    relation the henson kinds fix, atoms hold under the assignment, the loop
     vertex (when present) is isolated from the rest, and the loopless part
     omits every forbidden tournament."""
     if not isinstance(witness, HensonWitness) or not realizes(witness.assignment, inst):
         return False
+    fixed = KINDS["henson"].relations
     assignment = witness.assignment
     loop = witness.loop_vertex
     for atom in inst.atoms:
         if atom.kind != REL:
             continue
+        if fixed.get(atom.symbol.name) != len(atom.args):
+            return False
         a, b = assignment[atom.args[0]], assignment[atom.args[1]]
         if a == loop and b == loop:
             continue  # the loop vertex carries its own edge

@@ -309,6 +309,17 @@ def test_solve_and_cross_check_share_the_identifier_rule(name, tmp_path, capsys)
     assert "invalid free variable" in err
 
 
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    # str.isdigit() accepts a superscript two, which int() then rejects
+    path = tmp_path / "bad_digit.qcsp"
+    text = "theory t1 temporal\nrelation t1 r/\u00b2 ordertypes 0/1\n"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("solve", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "parse error: line 2: bad arity" in err
+    assert "Traceback" not in err
+
+
 def test_probe_command_small(capsys):
     code, out, _ = run_cli(
         "probe-convexity", str(FIXTURES / "temporal_sig.qcsp"),

@@ -138,6 +138,23 @@ def test_parse_trailing_comment_on_an_atom_line():
         ("theory t1 point_algebra\natom t1 le x 9y\n", "line 2: undeclared relation t1.le"),
         ("theory t1 point_algebra\n\natom t1 lt x 9y z\n", "line 3: invalid variable '9y'"),
         ("theory t1 equality\neq x y\n# c\nneq y 9y\n", "line 4: invalid variable '9y'"),
+        # arities and ranks are ASCII digits: int() takes other digits or fails
+        (
+            "theory t1 temporal\nrelation t1 r/\u00b2 ordertypes 0/1\n",
+            "line 2: bad arity '\u00b2'",
+        ),
+        (
+            "theory t1 temporal\nrelation t1 r/2 ordertypes 0/\u00b2\n",
+            "line 2: bad rank '\u00b2' in order type",
+        ),
+        (
+            "theory t1 temporal\nrelation t1 r/\u0661 ordertypes 0\n",
+            "line 2: bad arity '\u0661'",
+        ),
+        (
+            "theory t1 temporal\nrelation t1 r/2 ordertypes 0/\u0661\n",
+            "line 2: bad rank '\u0661' in order type",
+        ),
     ],
 )
 def test_parse_errors_keep_their_order_and_line(text, message):

@@ -8,7 +8,6 @@ from itertools import combinations
 import pytest
 
 from qcsp import _kernels
-from qcsp._kernels import pure
 
 from qcsp.checking import (
     check_henson_witness,
@@ -457,11 +456,10 @@ def _random_fact_instance(rng, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(FACT_SOLVERS))
-def test_reported_facts_are_entailed(kind, monkeypatch):
+def test_reported_facts_are_entailed(kind):
     # an equal fact passes entails_eq; a distinct fact makes the instance
-    # with x = y added unsatisfiable, by brute force.  Only the pure kernel
-    # hands back the root fixpoint temporal facts come from
-    monkeypatch.setattr(_kernels, "temporal_search", pure.temporal_search)
+    # with x = y added unsatisfiable, by brute force.  The classes cover
+    # every variable, each named by its least member
     solver = FACT_SOLVERS[kind]
     rng = random.Random(163)
     found = {EQ: 0, NEQ: 0}
@@ -470,6 +468,9 @@ def test_reported_facts_are_entailed(kind, monkeypatch):
         result = solver.decide(inst)
         if not result.sat:
             continue
+        classes = result.classes
+        assert classes.keys() == set(inst.variables), inst
+        assert all(classes[c] == c <= v for v, c in classes.items()), inst
         for x, y in combinations(inst.variables, 2):
             fact = result.facts(x, y)
             if fact == EQ:
@@ -526,6 +527,7 @@ def _assert_same_decide(solver, inst, base):
     """The decide of inst given base equals a fresh one, facts included."""
     warm, cold = solver.decide(inst, base), solver.decide(inst)
     assert warm == cold, (inst, base)
+    assert warm.classes == cold.classes, (inst, base)
     for x in inst.variables + ("unknown",):
         for y in inst.variables:
             assert warm.facts(x, y) == cold.facts(x, y), (inst, x, y)
@@ -691,7 +693,16 @@ def test_fixed_relation_kinds_reject_other_relations(kind):
     inst = make_instance([rel(other, "x", "y")])
     with pytest.raises(ContractViolation):
         KIND_SOLVERS[kind].decide(inst)
-    assert not check_part_witness(KIND_SOLVERS[kind], inst, {"x": 0, "y": 1})
+    witness = {"x": 0, "y": 1}
+    if kind.startswith("henson"):
+        # a digraph witness with the atom's arc, so the replay must refuse
+        # the relation itself
+        witness = HensonWitness({"x": "p", "y": "q", "z": "r"}, frozenset({("p", "q")}))
+        wide = make_instance([rel(RelationSymbol("t1", "E", 3), "x", "y", "z")])
+        with pytest.raises(ContractViolation):
+            KIND_SOLVERS[kind].decide(wide)
+        assert not check_part_witness(KIND_SOLVERS[kind], wide, witness)
+    assert not check_part_witness(KIND_SOLVERS[kind], inst, witness)
 
 
 @pytest.mark.parametrize("kind", ["equality", "point_algebra", "henson", "henson_b1"])
