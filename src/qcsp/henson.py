@@ -42,15 +42,14 @@ def fresh_loop_variable(inst: Instance) -> str:
 
 def build_s_star(inst: Instance, e_symbol: RelationSymbol | None = None) -> Instance:
     """Attach a fresh loop variable: the result is the input plus E(x0, x0)
-    and x0 != xi for every variable xi of the input."""
+    and x0 != xi for every variable xi of the input.  Without ``e_symbol``
+    the loop takes the input's least relation symbol (else ``t1.E``), so the
+    choice does not follow the set's iteration order."""
     symbol = e_symbol
     if symbol is None:
-        for atom in inst.atoms:
-            if atom.kind == REL:
-                symbol = atom.symbol
-                break
-        else:
-            symbol = DEFAULT_E
+        symbol = min(
+            (atom.symbol for atom in inst.atoms if atom.kind == REL), default=DEFAULT_E
+        )
     x0 = fresh_loop_variable(inst)
     if x0 in inst.variables:
         raise WitnessCheckFailed(f"loop variable {x0!r} is not fresh")

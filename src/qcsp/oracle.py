@@ -1,13 +1,22 @@
 """Independent brute-force ground truth.
 
-Everything here enumerates finite candidate models directly: weak orders for
-the order theories, set partitions for equality patterns, and loop-vertex /
-digraph candidates for the henson theories.  The solvers in qcsp.theories and
-qcsp.combine are validated against these enumerations.  One kernel is shared
-with them: the henson branch prepares its forbidden tournaments with
-``theories.prepare_tournaments`` and tests a candidate with
-``_kernels.find_induced_embedding``.  That kernel is checked on its own
-against a brute-force reference in
+Both deciders state the superposition definition (Nelson & Oppen 1979) by
+one enumeration, ``_superpose``: walk the set partitions of the variables,
+skip those that break the ``eq``/``neq`` atoms, collapse each block to its
+least member, and accept the first partition under which every part passes
+its kind's injective check, a model that gives distinct blocks distinct
+values.  Equality gives every block its own value, the order kinds take the
+first permutation of the blocks that every relational atom allows, and the
+henson kinds test the asserted digraph itself.  ``superpose_bruteforce``
+runs the loop over the parts of a combined problem and
+``brute_decide_theory`` over one part.  ``enumerate_weak_orders`` builds
+temporal relations and feeds tests; no decision here enumerates weak orders.
+
+The solvers in qcsp.theories and qcsp.combine are validated against this
+enumeration.  One kernel is shared with them: the henson check prepares its
+forbidden tournaments with ``theories.prepare_tournaments`` and tests a
+candidate with ``_kernels.find_induced_embedding``.  That kernel is checked
+on its own against a brute-force reference in
 ``tests/test_kernels.py::test_induced_embedding_matches_brute_force``.
 """
 
@@ -17,7 +26,7 @@ import os
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping
 
-from .formulas import EQ, NEQ, REL, Atom, Instance, collapse_equalities, make_instance
+from .formulas import EQ, NEQ, REL, Atom, Instance
 from .theories import (
     ContractViolation,
     HensonWitness,
@@ -127,77 +136,21 @@ class PartitionIterator:
 
 
 def _resolve(atom: Atom, relations: Mapping[str, object]):
-    relation = None
-    if relations:
-        relation = relations.get(atom.symbol.name)
-    if relation is None:
-        relation = relation_for_name(atom.symbol.name)
+    relation = relations.get(atom.symbol.name) or relation_for_name(atom.symbol.name)
     if relation is None:
         raise ContractViolation(f"unresolved relation {atom.symbol.name!r}")
     return relation
 
 
-def _order_model_satisfies(inst: Instance, relations, ranks: dict[str, int]) -> bool:
-    for atom in inst.atoms:
-        if atom.kind == REL:
-            relation = _resolve(atom, relations)
-            if canonical_ranks(tuple(ranks[v] for v in atom.args)) not in relation.allowed:
-                return False
-        elif atom.kind == EQ:
-            if ranks[atom.args[0]] != ranks[atom.args[1]]:
-                return False
-        else:
-            if ranks[atom.args[0]] == ranks[atom.args[1]]:
-                return False
-    return True
-
-
-def _brute_order(inst: Instance, relations, all_distinct: bool) -> SolveResult:
-    variables = inst.variables
-    n = len(variables)
-    if all_distinct:
-        candidates: Iterable[tuple[int, ...]] = permutations(range(n))
-    else:
-        candidates = enumerate_weak_orders(n)
-    for ranks_tuple in candidates:
-        ranks = {v: ranks_tuple[i] for i, v in enumerate(variables)}
-        if _order_model_satisfies(inst, relations, ranks):
-            return SolveResult(True, ranks)
-    return SolveResult(False)
-
-
-def _brute_equality(inst: Instance, all_distinct: bool) -> SolveResult:
-    for atom in inst.atoms:
-        if atom.kind == REL:
-            raise ContractViolation("equality oracle got a relational atom")
-    variables = inst.variables
-    if all_distinct:
-        candidates: Iterable = [tuple((v,) for v in variables)]
-    else:
-        candidates = PartitionIterator(variables)
-    for blocks in candidates:
-        block_of = {v: i for i, block in enumerate(blocks) for v in block}
-        ok = True
-        for atom in inst.atoms:
-            same = block_of[atom.args[0]] == block_of[atom.args[1]]
-            if atom.kind == EQ and not same:
-                ok = False
-                break
-            if atom.kind == NEQ and same:
-                ok = False
-                break
-        if ok:
-            return SolveResult(True, dict(block_of))
-    return SolveResult(False)
-
-
 def _loopless_candidate(
-    variables: tuple[str, ...],
+    rep: Mapping[str, str],
     arcs: set[tuple[str, str]],
     b1: bool,
     prepared_forbidden,
 ) -> HensonWitness | None:
-    """Check pairwise-distinct realizability of a collapsed edge instance.
+    """Check pairwise-distinct realizability of a collapsed edge instance:
+    ``rep`` sends each variable to its block's name and ``arcs`` are over
+    those names.  The witness assigns every variable its block's vertex.
 
     Candidate models extend the asserted arcs; since added arcs can only
     create embeddings (asserted arcs persist in every superset) and the age
@@ -214,7 +167,7 @@ def _loopless_candidate(
         for a, b in arcs:
             if (a == a_vertex) != (b == a_vertex):
                 return None  # the loop vertex has no arcs to other vertices
-    plain = [v for v in variables if v != a_vertex]
+    plain = sorted(set(rep.values()) - {a_vertex})
     idx = {v: i for i, v in enumerate(plain)}
     n = len(plain)
     adj = bytearray(n * n)
@@ -226,116 +179,81 @@ def _loopless_candidate(
         adj[idx[a] * n + idx[b]] = 1
     if _kernels.find_induced_embedding(n, adj, prepared_forbidden):
         return None
-    assignment = {v: ("a" if v == a_vertex else f"n_{v}") for v in variables}
-    named_arcs = frozenset(
-        (assignment[a], assignment[b]) for a, b in arcs if a != a_vertex
-    )
-    return HensonWitness(assignment, named_arcs, "a" if a_vertex else None)
+    loop = None if a_vertex is None else "a"
+    assignment = {v: loop if r == a_vertex else f"n_{r}" for v, r in rep.items()}
+    named_arcs = frozenset((f"n_{a}", f"n_{b}") for a, b in arcs if a != a_vertex)
+    return HensonWitness(assignment, named_arcs, loop)
 
 
-def _brute_henson(
-    inst: Instance, forbidden, b1: bool, all_distinct: bool
-) -> SolveResult:
-    for atom in inst.atoms:
-        if atom.kind == REL and (atom.symbol.name != "E" or len(atom.args) != 2):
-            raise ContractViolation(f"henson oracle got {atom.symbol.name!r}")
-    collapsed, _ = collapse_equalities(inst)
-    neqs = []
-    arcs: set[tuple[str, str]] = set()
-    for atom in collapsed.atoms:
-        if atom.kind == NEQ:
-            if atom.args[0] == atom.args[1]:
-                return SolveResult(False)
-            neqs.append(atom.args)
-        elif atom.kind == REL:
-            arcs.add(atom.args)
-    prepared = prepare_tournaments(forbidden)
-    variables = collapsed.variables
-
-    if all_distinct:
-        witness = _loopless_candidate(variables, arcs, b1, prepared)
-        if witness is None:
-            return SolveResult(False)
-        return SolveResult(True, witness)
-
-    for blocks in PartitionIterator(variables):
-        rep = {}
-        for block in blocks:
-            block_rep = min(block)
-            for v in block:
-                rep[v] = block_rep
-        if any(rep[x] == rep[y] for x, y in neqs):
-            continue
-        merged_arcs = {(rep[a], rep[b]) for a, b in arcs}
-        reps = tuple(sorted({rep[v] for v in variables}))
-        witness = _loopless_candidate(reps, merged_arcs, b1, prepared)
-        if witness is not None:
-            assignment = {v: witness.assignment[rep[v]] for v in variables}
-            return SolveResult(
-                True, HensonWitness(assignment, witness.arcs, witness.loop_vertex)
-            )
-    return SolveResult(False)
+def _distinct_values(rep: Mapping[str, str]) -> dict[str, int]:
+    """Equality's injective check: every block gets its own value."""
+    value: dict[str, int] = {}
+    return {v: value.setdefault(r, len(value)) for v, r in rep.items()}
 
 
-def brute_decide_theory(
-    kind: str,
-    inst: Instance,
-    relations: Mapping[str, object] | None = None,
-    forbidden: Iterable = (),
-    all_distinct: bool = False,
-    max_vars: int | None = None,
-) -> SolveResult:
-    """Decide a pure instance by direct model enumeration."""
-    limit = max_vars if max_vars is not None else default_oracle_bound()
-    if len(inst.variables) > limit:
-        raise BoundExceeded(
-            f"{len(inst.variables)} variables exceed oracle bound {limit}"
-        )
+def _order_check(atoms: list[tuple[frozenset, tuple[str, ...]]]):
+    """The order kinds' injective check over (allowed order types, args)
+    pairs: the ranks of the first permutation of the blocks that every
+    atom allows."""
+
+    def check(rep: Mapping[str, str]) -> dict[str, int] | None:
+        names = sorted(set(rep.values()))
+        mapped = [(allowed, tuple(rep[v] for v in args)) for allowed, args in atoms]
+        for perm in permutations(range(len(names))):
+            rank = dict(zip(names, perm))
+            if all(
+                canonical_ranks(tuple(rank[v] for v in args)) in allowed
+                for allowed, args in mapped
+            ):
+                return {v: rank[r] for v, r in rep.items()}
+        return None
+
+    return check
+
+
+def _injective_check(kind: str, part: Instance, relations, forbidden):
+    """Refuse a part with atoms its kind cannot read, then return the kind's
+    injective check of it: given the map sending each of the part's
+    variables to its block's least member, a witness over those variables
+    that gives distinct blocks distinct values, or None when the collapsed
+    part has no such model."""
+    rels = [atom for atom in part.atoms if atom.kind == REL]
     if kind == "equality":
-        return _brute_equality(inst, all_distinct)
-    if kind == "point_algebra":
-        for atom in inst.atoms:
-            if atom.kind == REL and atom.symbol.name not in ("lt", "leq"):
+        if rels:
+            raise ContractViolation("equality oracle got a relational atom")
+        return _distinct_values
+    if kind in ("point_algebra", "temporal"):
+        for atom in rels:
+            if kind == "point_algebra" and atom.symbol.name not in ("lt", "leq"):
                 raise ContractViolation(
                     f"point algebra oracle got {atom.symbol.name!r}"
                 )
-        return _brute_order(inst, relations or {}, all_distinct)
-    if kind == "temporal":
-        return _brute_order(inst, relations or {}, all_distinct)
-    if kind == "henson":
-        return _brute_henson(inst, forbidden, b1=False, all_distinct=all_distinct)
-    if kind == "henson_b1":
-        return _brute_henson(inst, forbidden, b1=True, all_distinct=all_distinct)
+        return _order_check([(_resolve(a, relations).allowed, a.args) for a in rels])
+    if kind in ("henson", "henson_b1"):
+        for atom in rels:
+            if atom.symbol.name != "E" or len(atom.args) != 2:
+                raise ContractViolation(f"henson oracle got {atom.symbol.name!r}")
+        arcs = [atom.args for atom in rels]
+        prepared = prepare_tournaments(forbidden)
+        b1 = kind == "henson_b1"
+        return lambda rep: _loopless_candidate(
+            rep, {(rep[a], rep[b]) for a, b in arcs}, b1, prepared
+        )
     raise ValueError(f"unknown theory kind {kind!r}")
 
 
-def _collapse_part(part: Instance, rep: Mapping[str, str]) -> Instance:
-    out = []
-    for atom in part.atoms:
-        if atom.kind == EQ:
-            continue
-        mapped = tuple(rep[v] for v in atom.args)
-        if atom.kind == REL:
-            out.append(Atom(REL, atom.symbol, mapped))
-        else:
-            from .formulas import neq
-
-            out.append(neq(*mapped))
-    return make_instance(out)
-
-
-def superpose_bruteforce(problem, max_vars: int | None = None) -> SolveResult:
-    """Definitional ground truth for the combined problem: some partition of
-    all variables, consistent with the Eq/Neq atoms, must make every collapsed
-    part satisfiable on pairwise-distinct representatives."""
-    limit = max_vars if max_vars is not None else default_oracle_bound()
-    variables = problem.instance.variables
+def _superpose(instance: Instance, parts: Mapping, limit: int | None):
+    """The one enumeration: the first partition of the instance's variables
+    that meets its eq/neq atoms and whose collapse passes the injective
+    check of every part, as ``(blocks, {key: witness})``, or None.  ``parts``
+    maps a key to a part and its check; ``limit`` (None reads
+    ``QCSP_ORACLE_BOUND``) caps the number of variables."""
+    limit = limit if limit is not None else default_oracle_bound()
+    variables = instance.variables
     if len(variables) > limit:
-        raise BoundExceeded(
-            f"{len(variables)} variables exceed oracle bound {limit}"
-        )
-    eqs = [a.args for a in problem.instance.atoms if a.kind == EQ]
-    neqs = [a.args for a in problem.instance.atoms if a.kind == NEQ]
+        raise BoundExceeded(f"{len(variables)} variables exceed oracle bound {limit}")
+    eqs = [a.args for a in instance.atoms if a.kind == EQ]
+    neqs = [a.args for a in instance.atoms if a.kind == NEQ]
 
     for blocks in PartitionIterator(variables):
         rep: dict[str, str] = {}
@@ -348,23 +266,44 @@ def superpose_bruteforce(problem, max_vars: int | None = None) -> SolveResult:
         if any(rep[x] == rep[y] for x, y in neqs):
             continue
         witnesses = {}
-        ok = True
-        for tid, part in problem.parts.items():
-            solver = problem.solvers[tid]
-            collapsed = _collapse_part(part, rep)
-            result = brute_decide_theory(
-                solver.kind,
-                collapsed,
-                relations=solver.relations,
-                forbidden=solver.forbidden,
-                all_distinct=True,
-                max_vars=limit,
-            )
-            if not result.sat:
-                ok = False
+        for key, (part, check) in parts.items():
+            witness = check({v: rep[v] for v in part.variables})
+            if witness is None:
                 break
-            witnesses[tid] = result.witness
-        if ok:
-            block_index = {v: i for i, block in enumerate(blocks) for v in block}
-            return SolveResult(True, {"partition": block_index, "parts": witnesses})
-    return SolveResult(False)
+            witnesses[key] = witness
+        else:
+            return blocks, witnesses
+    return None
+
+
+def brute_decide_theory(
+    kind: str,
+    inst: Instance,
+    relations: Mapping[str, object] | None = None,
+    forbidden: Iterable = (),
+    max_vars: int | None = None,
+) -> SolveResult:
+    """Decide a pure instance as the one-part superposition: its witness
+    gives every variable the value of its block."""
+    check = _injective_check(kind, inst, relations or {}, forbidden)
+    found = _superpose(inst, {kind: (inst, check)}, max_vars)
+    if found is None:
+        return SolveResult(False)
+    return SolveResult(True, found[1][kind])
+
+
+def superpose_bruteforce(problem, max_vars: int | None = None) -> SolveResult:
+    """Definitional ground truth for the combined problem: some partition of
+    all variables, consistent with the Eq/Neq atoms, must make every collapsed
+    part satisfiable on pairwise-distinct representatives."""
+    parts = {}
+    for tid, part in problem.parts.items():
+        solver = problem.solvers[tid]
+        check = _injective_check(solver.kind, part, solver.relations, solver.forbidden)
+        parts[tid] = (part, check)
+    found = _superpose(problem.instance, parts, max_vars)
+    if found is None:
+        return SolveResult(False)
+    blocks, witnesses = found
+    block_index = {v: i for i, block in enumerate(blocks) for v in block}
+    return SolveResult(True, {"partition": block_index, "parts": witnesses})

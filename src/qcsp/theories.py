@@ -142,15 +142,20 @@ class SolveResult:
 UNSAT = SolveResult(False, None)
 
 
+PREDICATE_ARITY_BOUND = 7
+
+
 def relation_from_predicate(
-    arity: int, predicate: Callable[[tuple[int, ...]], bool], bound: int = 7
+    arity: int, predicate: Callable[[tuple[int, ...]], bool]
 ) -> TemporalRelation:
     """Build a temporal relation extensionally by filtering all weak orders on
     ``arity`` positions through the predicate."""
     from .oracle import enumerate_weak_orders
 
-    if arity > bound:
-        raise ValueError(f"arity {arity} exceeds enumeration bound {bound}")
+    if arity > PREDICATE_ARITY_BOUND:
+        raise ValueError(
+            f"arity {arity} exceeds enumeration bound {PREDICATE_ARITY_BOUND}"
+        )
     allowed = frozenset(w for w in enumerate_weak_orders(arity) if predicate(w))
     return TemporalRelation(arity, allowed)
 

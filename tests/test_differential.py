@@ -1,6 +1,7 @@
 """Differential layer over the whole solver: random combined problems that
 mix all four theory kinds, decided by every mode and by the brute-force
-oracle, with every witness replayed.
+oracle, with every witness replayed.  Each part is also decided alone, by
+its own decide and by the oracle, and both witnesses replayed.
 
 Budget: ``derandomize=True`` and 1000 examples of at most 6 variables and
 at most 3 theories, about 15 s on one core.
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsp import combine
-from qcsp.checking import check_combined_witness
+from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import CombinedProblem, solve_auto, solve_complete, solve_convex
 from qcsp.formulas import (
     RelationSymbol,
@@ -21,7 +22,7 @@ from qcsp.formulas import (
     rel,
     split_by_signature,
 )
-from qcsp.oracle import enumerate_weak_orders, superpose_bruteforce
+from qcsp.oracle import brute_decide_theory, enumerate_weak_orders, superpose_bruteforce
 from qcsp.theories import (
     Digraph,
     SolveResult,
@@ -157,6 +158,20 @@ def test_all_modes_agree_with_the_oracle_and_replay():
             assert result.sat == expected, mode
             if result.sat:
                 assert check_combined_witness(problem, result), mode
+        for tid, part in problem.parts.items():
+            solver = problem.solvers[tid]
+            oracle = brute_decide_theory(
+                solver.kind,
+                part,
+                relations=solver.relations,
+                forbidden=solver.forbidden,
+                max_vars=MAX_VARS,
+            )
+            alone = solver.decide(part)
+            assert alone.sat == oracle.sat, tid
+            for result in (alone, oracle):
+                if result.sat:
+                    assert check_part_witness(solver, part, result.witness), tid
         # with the reported facts ignored the search branches on every pair
         # it could have read off, and with every part decided afresh at
         # every node and pass, rather than resumed or kept from an earlier

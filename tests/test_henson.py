@@ -1,6 +1,10 @@
 """Reductions between the digraph CSP and its loop-vertex combination."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 from qcsp import _kernels, combine
@@ -47,6 +51,9 @@ B1_SOLVERS = {
 }
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
 def _b1_combined(atoms):
     inst = make_instance(atoms)
     parts, shared = split_by_signature(inst, ["t1", "t2"])
@@ -86,6 +93,30 @@ def test_build_s_star_size():
         inst = make_instance(atoms)
         star = build_s_star(inst)
         assert len(star.atoms) == len(inst.atoms) + 1 + len(inst.variables)
+
+
+def test_build_s_star_symbol_ignores_hash_seed():
+    # an instance's atoms iterate in an order that follows string hashing,
+    # so each seed runs in its own process
+    script = (
+        "from qcsp.formulas import RelationSymbol, make_instance, rel\n"
+        "from qcsp.henson import build_s_star\n"
+        "t1, t2 = RelationSymbol('t1', 'E', 2), RelationSymbol('t2', 'E', 2)\n"
+        "star = build_s_star(make_instance([rel(t1, 'a', 'b'), rel(t2, 'b', 'c')]))\n"
+        "print(sorted(a.symbol.theory_id for a in star.atoms if a.args == ('x0', 'x0')))\n"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    outputs = set()
+    for seed in range(1, 7):
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        )
+        outputs.add(result.stdout)
+    assert outputs == {"['t1']\n"}
 
 
 def test_fresh_variable_avoids_collision():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qcsp.checking import check_part_witness
 from qcsp.combine import CombinedProblem
 from qcsp.formulas import (
     RelationSymbol,
@@ -22,7 +23,7 @@ from qcsp.oracle import (
     enumerate_weak_orders,
     superpose_bruteforce,
 )
-from qcsp.theories import Digraph, TheorySolver, builtin_mi
+from qcsp.theories import ContractViolation, Digraph, TheorySolver, builtin_mi
 
 E = RelationSymbol("t1", "E", 2)
 LT = RelationSymbol("t1", "lt", 2)
@@ -113,6 +114,43 @@ def test_brute_henson_loop_variants():
     assert b1.sat
     assert b1.witness.assignment["x"] == "a"
     assert not brute_decide_theory("henson", loop, forbidden=(C3,)).sat
+
+
+def test_brute_henson_witness_covers_variables_merged_by_eq():
+    # z reaches each instance only through an eq atom, so it is collapsed
+    # away; the witness must still give it its block's vertex
+    cases = [
+        ("henson", [rel(E, "x", "y"), eq("y", "z")]),
+        ("henson_b1", [rel(E, "x", "x"), rel(E, "y", "y"), eq("x", "z")]),
+    ]
+    for kind, atoms in cases:
+        inst = make_instance(atoms)
+        result = brute_decide_theory(kind, inst, forbidden=(C3,))
+        assert result.sat, kind
+        assert "z" in result.witness.assignment, kind
+        solver = TheorySolver("t1", kind, False, forbidden=(C3,))
+        assert check_part_witness(solver, inst, result.witness), kind
+
+
+def test_brute_refuses_bad_input_before_enumerating():
+    # neq(x, x) alone admits no partition: each refusal must come first
+    contradiction = [neq("x", "x")]
+    with pytest.raises(ValueError):
+        brute_decide_theory("mystery", make_instance(contradiction))
+    unfixed = [
+        ("equality", rel(LT, "x", "y")),
+        ("point_algebra", rel(MI, "x", "y", "z")),
+        ("temporal", rel(MI, "x", "y", "z")),
+        ("henson", rel(LT, "x", "y")),
+        ("henson_b1", rel(LT, "x", "y")),
+    ]
+    for kind, atom in unfixed:
+        with pytest.raises(ContractViolation):
+            brute_decide_theory(kind, make_instance(contradiction + [atom]))
+    too_many = make_instance(contradiction + [neq("x", f"v{i}") for i in range(3)])
+    for kind in ("equality", "point_algebra", "temporal", "henson", "henson_b1"):
+        with pytest.raises(BoundExceeded):
+            brute_decide_theory(kind, too_many, max_vars=3)
 
 
 def test_brute_bound_override():
