@@ -86,13 +86,6 @@ def combined_problem(problem: Problem) -> CombinedProblem:
     )
 
 
-def _neutral_atoms_consistent(instance: Instance) -> bool:
-    """Every part's decide rejects a reflexive disequality of its copy of the
-    Eq/Neq atoms, but a problem with no theories has no part; check here."""
-    _, _, neqs = merge_equalities(instance)
-    return all(x != y for x, y in neqs)
-
-
 def propagate_step(
     problem: CombinedProblem,
     learned: set[Atom],
@@ -360,7 +353,9 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
     otherwise resumes its decide from it; either way it carries over the
     parent's models that satisfy them.
     """
-    if not problem.parts and not _neutral_atoms_consistent(problem.instance):
+    # each part's decide rejects a reflexive disequality of its eq/neq atoms;
+    # a problem with no theories has no part, so the check runs here
+    if not problem.parts and merge_equalities(problem.instance) is None:
         return SolveResult(False)
     shared = sorted(problem.shared)
     stack: list[tuple[frozenset[Atom], dict[str, _Context]]] = [(frozenset(), {})]
@@ -369,6 +364,8 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
         ok, contexts = _decide_parts(problem, decisions, parent)
         if not ok:
             continue
+        if not shared:  # one arrangement, so the root is the only node
+            return _sat((), contexts)
         rep = _classes(decisions, shared).mapping()
         pending = _undecided_pairs(decisions, rep, shared)
         if not pending:
@@ -403,8 +400,8 @@ def solve_convex(problem: CombinedProblem) -> SolveResult:
         raise ConvexityNotDeclared(
             f"theories not declared convex: {', '.join(sorted(not_convex))}"
         )
-    if not problem.parts and not _neutral_atoms_consistent(problem.instance):
-        return SolveResult(False)
+    if not problem.parts and merge_equalities(problem.instance) is None:
+        return SolveResult(False)  # as in solve_complete
     learned: set[Atom] = set()
     contexts: dict[str, _Context] = {}
     while True:

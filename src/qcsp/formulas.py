@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .theories import Digraph, TheorySolver
@@ -19,6 +19,10 @@ if TYPE_CHECKING:
 REL = "rel"
 EQ = "eq"
 NEQ = "neq"
+
+
+class ContractViolation(ValueError):
+    """An instance contains atoms outside the solver's signature."""
 
 
 class ParseError(ValueError):
@@ -117,37 +121,52 @@ class UnionFind:
         return {v: find(v) for v in self.parent}
 
 
-def merge_equalities(inst: Instance) -> tuple[
-    dict[str, str], dict[RelationSymbol, set[tuple[str, ...]]], set[tuple[str, str]]
-]:
+def merge_equalities(
+    inst: Instance, fixed: Mapping[str, int] | None = None, kind: str = ""
+) -> tuple[dict[str, str], frozenset[tuple[str, ...]], set[tuple[str, str]]] | None:
     """Merge the Eq atoms of an instance by one union-find, without
     rebuilding it: ``(var_map, rels, neqs)``, where var_map sends every
-    variable to the least name of its class, and rels (each relation
-    symbol's argument tuples) and neqs (the Neq argument pairs) are over
-    those names.  A pair ``(v, v)`` in neqs is a disequality inside one
-    class."""
-    equalities = [atom.args for atom in inst.atoms if atom.kind == EQ]
-    if equalities:
-        classes = UnionFind(inst.variables)
-        for x, y in equalities:
-            classes.union(x, y)
-        var_map = classes.mapping()
-    else:
-        var_map = {v: v for v in inst.variables}
-    rels: dict[RelationSymbol, set[tuple[str, ...]]] = {}
-    neqs: set[tuple[str, str]] = set()
-    for kind, symbol, args in inst.atoms:
-        if kind == EQ:
-            continue
-        if equalities and len(args) == 2:  # most atoms: a pair builds faster
-            args = (var_map[args[0]], var_map[args[1]])
-        elif equalities:
-            args = tuple([var_map[v] for v in args])
-        if kind == NEQ:
-            neqs.add(args)
+    variable to the least name of its class, and rels (the argument tuples
+    of every relational atom) and neqs (the Neq pairs) are over those
+    names; None once a Neq falls inside one class.  The one pass that sorts
+    the atoms raises ContractViolation, naming ``kind``, at a relational
+    atom outside ``fixed`` (name to arity) when given: before any Neq ends
+    the merge, every atom is checked."""
+    equalities, rels, neqs = [], [], []
+    for atom_kind, symbol, args in inst.atoms:
+        if atom_kind == REL:
+            if fixed is not None and fixed.get(symbol.name) != len(args):
+                msg = f"{kind} solver got relation {symbol.name!r}/{len(args)}"
+                raise ContractViolation(msg)
+            rels.append(args)
+        elif atom_kind == NEQ:
+            neqs.append(args)
         else:
-            rels.setdefault(symbol, set()).add(args)
-    return var_map, rels, neqs
+            equalities.append(args)
+    var_map = _class_map(inst.variables, equalities)
+    apart = set()
+    for x, y in neqs:
+        if equalities:
+            x, y = var_map[x], var_map[y]
+        if x == y:
+            return None
+        apart.add((x, y))
+    if equalities:
+        rels = [
+            (var_map[args[0]], var_map[args[1]]) if len(args) == 2  # most atoms
+            else tuple([var_map[v] for v in args])
+            for args in rels
+        ]
+    return var_map, frozenset(rels), apart
+
+
+def _class_map(variables: Iterable[str], equalities: list) -> dict[str, str]:
+    """Each variable to the least name of its class under the equalities, by
+    one union-find, whose own map is that when there are none."""
+    classes = UnionFind(variables)
+    for x, y in equalities:
+        classes.union(x, y)
+    return classes.mapping() if equalities else classes.parent
 
 
 def realizes(values: Mapping[str, object], inst: Instance) -> bool:
@@ -168,11 +187,16 @@ def collapse_equalities(inst: Instance) -> tuple[Instance, dict[str, str]]:
     Neq(v, v); solvers treat it as unsatisfiable.  Without Eq atoms the
     instance itself is returned: ``neq`` already orders its arguments.
     """
-    var_map, rels, neqs = merge_equalities(inst)
-    if all(atom.kind != EQ for atom in inst.atoms):
+    equalities = [atom.args for atom in inst.atoms if atom.kind == EQ]
+    var_map = _class_map(inst.variables, equalities)
+    if not equalities:
         return inst, var_map
-    out = [Atom(REL, symbol, args) for symbol, tuples in rels.items() for args in tuples]
-    out += [neq(*pair) for pair in neqs]
+    out = [
+        Atom(REL, symbol, tuple([var_map[v] for v in args])) if kind == REL
+        else neq(var_map[args[0]], var_map[args[1]])
+        for kind, symbol, args in inst.atoms
+        if kind != EQ
+    ]
     return make_instance(out), var_map
 
 
@@ -183,21 +207,21 @@ def split_by_signature(
     part.  Shared variables are those occurring in the parts of at least two
     distinct theories, so a variable that reaches a theory only through an
     Eq/Neq atom is shared too (Nelson & Oppen 1979)."""
-    theory_ids = list(theory_ids)
-    neutral = [a for a in inst.atoms if a.kind != REL]
     by_theory: dict[str, list[Atom]] = {tid: [] for tid in theory_ids}
+    neutral: list[Atom] = []
     for atom in inst.atoms:
         if atom.kind != REL:
+            neutral.append(atom)
             continue
         tid = atom.symbol.theory_id
-        if tid not in by_theory:
+        own = by_theory.get(tid)
+        if own is None:
             raise ValueError(f"atom references undeclared theory {tid!r}")
-        by_theory[tid].append(atom)
+        own.append(atom)
     # a part that holds every atom of the instance is the instance itself
     parts = {
-        tid: inst if len(by_theory[tid]) + len(neutral) == len(inst)
-        else make_instance(by_theory[tid] + neutral)
-        for tid in theory_ids
+        tid: inst if len(own) + len(neutral) == len(inst) else make_instance(own + neutral)
+        for tid, own in by_theory.items()
     }
     seen: set[str] = set()
     shared: set[str] = set()
@@ -252,6 +276,51 @@ def is_weak_order(ranks: tuple[int, ...]) -> bool:
     return used == set(range(len(used)))
 
 
+WEAK_ORDER_BOUND = 8
+
+
+class BoundExceeded(ValueError):
+    """The requested enumeration is over the configured size limit."""
+
+
+def enumerate_weak_orders(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every weak order on n positions exactly once, as canonical rank
+    lists in lexicographic order."""
+    if n < 0 or n > WEAK_ORDER_BOUND:
+        raise BoundExceeded(f"weak-order enumeration bound is {WEAK_ORDER_BOUND}")
+    if n == 0:
+        yield ()
+        return
+    ranks = [0] * n
+    used = [False] * n
+
+    def rec(pos: int, top: int, gaps: int) -> Iterator[tuple[int, ...]]:
+        if pos == n:
+            if gaps == 0:
+                yield tuple(ranks)
+            return
+        remaining = n - pos - 1
+        for v in range(n):
+            if used[v]:
+                new_top, new_gaps = top, gaps
+            elif v > top:
+                new_top = v
+                new_gaps = gaps + (v - top - 1)
+            else:
+                new_top = top
+                new_gaps = gaps - 1
+            if new_gaps > remaining:
+                continue
+            ranks[pos] = v
+            was_used = used[v]
+            used[v] = True
+            yield from rec(pos + 1, new_top, new_gaps)
+            used[v] = was_used
+        ranks[pos] = 0
+
+    yield from rec(0, -1, 0)
+
+
 def _parse_ordertype(token: str, arity: int, line_no: int) -> tuple[int, ...]:
     ranks = []
     for piece in token.split("/"):
@@ -268,20 +337,15 @@ def _parse_ordertype(token: str, arity: int, line_no: int) -> tuple[int, ...]:
     return ranks
 
 
-def _parse_tournament(token: str, line_no: int) -> Digraph:
-    try:
-        return _tournament(token)
-    except ParseError as exc:
-        raise ParseError(str(exc), line_no) from None
+@lru_cache(maxsize=256)
+def _forbidden(spec: str) -> tuple[Digraph, ...]:
+    """The tournaments of a ``;``-separated ``forbid`` tail; errors carry no line."""
+    return tuple(_tournament(part.strip()) for part in spec.split(";") if part.strip())
 
 
 @lru_cache(maxsize=256)
 def _tournament(token: str) -> Digraph:
-    """The tournament a ``forbid`` token names; a Digraph is frozen, so one
-    parse serves every line that repeats the token.  Errors carry no line
-    and are not cached."""
-    from .theories import Digraph
-
+    """The tournament one ``forbid`` token names, cached like the tails."""
     arcs = set()
     vertices = set()
     for arc in token.split(","):
@@ -293,7 +357,7 @@ def _tournament(token: str) -> Digraph:
         _check_ident(b, "vertex")
         arcs.add((a, b))
         vertices.update((a, b))
-    graph = Digraph(tuple(sorted(vertices)), frozenset(arcs))
+    graph = theories.Digraph(tuple(sorted(vertices)), frozenset(arcs))
     if not graph.is_tournament():
         raise ParseError(f"{token!r} is not a tournament")
     return graph
@@ -302,17 +366,10 @@ def _tournament(token: str) -> Digraph:
 def parse_problem(text: str) -> Problem:
     """Parse the line-oriented instance file format into a resolved Problem,
     building the instance as the lines are read."""
-    from .theories import KINDS, TemporalRelation, TheorySolver, builtin_mi
-
-    theories: dict[str, TheorySolver] = {}
+    declared: dict[str, TheorySolver] = {}
     symbols: dict[tuple[str, str], RelationSymbol] = {}
     atoms: list[Atom] = []
     names: set[str] = set()  # variable names checked: the instance's variables
-
-    def check_variables(tokens: Iterable[str], line_no: int) -> None:
-        for token in tokens:
-            if token not in names:
-                names.add(_check_ident(token, "variable", line_no))
 
     def declare(tid: str, name: str, arity: int, line_no: int,
                 semantics=None) -> None:
@@ -321,7 +378,7 @@ def parse_problem(text: str) -> Problem:
             raise ParseError(f"duplicate relation declaration {tid}.{name}", line_no)
         symbols[key] = RelationSymbol(tid, name, arity)
         if semantics is not None:
-            theories[tid].relations[name] = semantics
+            declared[tid].relations[name] = semantics
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = (line.split("#", 1)[0] if "#" in line else line).split()
@@ -335,11 +392,13 @@ def parse_problem(text: str) -> Problem:
             tid, name = tokens[1], tokens[2]
             symbol = symbols.get((tid, name))
             if symbol is None:
-                if tid not in theories:
+                if tid not in declared:
                     raise ParseError(f"undeclared theory {tid!r}", line_no)
                 raise ParseError(f"undeclared relation {tid}.{name}", line_no)
             args = tuple(tokens[3:])
-            check_variables(args, line_no)
+            for token in args:
+                if token not in names:
+                    names.add(_check_ident(token, "variable", line_no))
             if len(args) != symbol.arity:
                 raise ParseError(
                     f"{tid}.{name} expects {symbol.arity} arguments, got {len(args)}",
@@ -350,7 +409,9 @@ def parse_problem(text: str) -> Problem:
         elif head in (EQ, NEQ):
             if len(tokens) != 3:
                 raise ParseError(f"{head} needs exactly two variables", line_no)
-            check_variables(tokens[1:], line_no)
+            for token in tokens[1:]:
+                if token not in names:
+                    names.add(_check_ident(token, "variable", line_no))
             atoms.append((eq if head == EQ else neq)(tokens[1], tokens[2]))
 
         elif head == "theory":
@@ -358,9 +419,9 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("theory line needs an id and a kind", line_no)
             tid = _check_ident(tokens[1], "theory id", line_no)
             kind, tail = tokens[2], tokens[3:]
-            if tid in theories:
+            if tid in declared:
                 raise ParseError(f"duplicate theory declaration {tid}", line_no)
-            record = KINDS.get(kind)
+            record = theories.KINDS.get(kind)
             if record is None:
                 raise ParseError(f"unknown theory kind {kind!r}", line_no)
             convex, forbidden = record.convex, ()
@@ -374,17 +435,16 @@ def parse_problem(text: str) -> Problem:
                         f"{kind} theory needs: forbid <tournament>[;<tournament>]",
                         line_no,
                     )
-                forbidden = tuple(
-                    _parse_tournament(part.strip(), line_no)
-                    for part in " ".join(tail[1:]).split(";")
-                    if part.strip()
-                )
+                try:
+                    forbidden = _forbidden(" ".join(tail[1:]))
+                except ParseError as exc:
+                    raise ParseError(str(exc), line_no) from None
                 if not forbidden:
                     raise ParseError(f"{kind} theory forbids nothing", line_no)
                 tail = []
             if tail:
                 raise ParseError(f"trailing tokens after {kind} theory", line_no)
-            theories[tid] = TheorySolver(tid, kind, convex, {}, forbidden)
+            declared[tid] = theories.TheorySolver(tid, kind, convex, {}, forbidden)
             for name, arity in (record.relations or {}).items():
                 declare(tid, name, arity, line_no)
 
@@ -392,9 +452,9 @@ def parse_problem(text: str) -> Problem:
             if len(tokens) < 4:
                 raise ParseError("relation line too short", line_no)
             tid = tokens[1]
-            if tid not in theories:
+            if tid not in declared:
                 raise ParseError(f"undeclared theory {tid!r}", line_no)
-            if KINDS[theories[tid].kind].relations is not None:
+            if theories.KINDS[declared[tid].kind].relations is not None:
                 raise ParseError(f"theory {tid} fixes its relations", line_no)
             if "/" not in tokens[2]:
                 raise ParseError("relation needs a <name>/<arity> token", line_no)
@@ -411,26 +471,24 @@ def parse_problem(text: str) -> Problem:
                     _parse_ordertype(piece, arity, line_no)
                     for piece in tokens[4].split(",")
                 )
-                declare(tid, name, arity, line_no, TemporalRelation(arity, allowed))
+                declare(tid, name, arity, line_no, theories.TemporalRelation(arity, allowed))
             elif mode == "builtin":
                 if len(tokens) != 5 or tokens[4] != "mi":
                     raise ParseError("only 'builtin mi' is available", line_no)
                 if arity != 3:
                     raise ParseError("builtin mi has arity 3", line_no)
-                declare(tid, name, 3, line_no, builtin_mi())
+                declare(tid, name, 3, line_no, theories.builtin_mi())
             else:
                 raise ParseError(f"unknown relation mode {mode!r}", line_no)
 
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    return Problem(theories, symbols, Instance(frozenset(atoms), tuple(sorted(names))))
+    return Problem(declared, symbols, Instance(frozenset(atoms), tuple(sorted(names))))
 
 
 def render_problem(problem: Problem) -> str:
     """Canonical serializer; parse_problem(render_problem(p)) round-trips."""
-    from .theories import KINDS
-
     lines: list[str] = []
     for tid in sorted(problem.theories):
         solver = problem.theories[tid]
@@ -440,7 +498,7 @@ def render_problem(problem: Problem) -> str:
                 ",".join(f"{a}>{b}" for a, b in sorted(t.arcs)) for t in solver.forbidden
             )
             line += " forbid " + ";".join(tournaments)
-        elif solver.convex and not KINDS[solver.kind].convex:
+        elif solver.convex and not theories.KINDS[solver.kind].convex:
             line += " convex"
         lines.append(line)
     for tid in sorted(problem.theories):
@@ -458,3 +516,7 @@ def render_atom(atom: Atom) -> str:
     if atom.kind == REL:
         return f"atom {atom.symbol.theory_id} {atom.symbol.name} " + " ".join(atom.args)
     return f"{atom.kind} {atom.args[0]} {atom.args[1]}"
+
+
+# last: theories imports this module, and the parser reads its kinds
+from . import theories  # noqa: E402

@@ -14,18 +14,18 @@ from .formulas import (
     Atom,
     Instance,
     RelationSymbol,
-    UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
     make_instance,  # bound here for perfbench/spans.py's tracer
     merge_equalities,
     neq,
 )
 from .theories import (
+    KINDS,
+    UNSAT,
     HensonWitness,
     SolveResult,
     WitnessCheckFailed,
     arcs_consistent,
-    check_relations,
     henson_decide,  # bound here for perfbench/spans.py's tracer
     prepare_tournaments,
 )
@@ -45,19 +45,15 @@ def build_s_star(inst: Instance, e_symbol: RelationSymbol | None = None) -> Inst
     and x0 != xi for every variable xi of the input.  Without ``e_symbol``
     the loop takes the input's least relation symbol (else ``t1.E``), so the
     choice does not follow the set's iteration order."""
-    symbol = e_symbol
-    if symbol is None:
-        symbol = min(
-            (atom.symbol for atom in inst.atoms if atom.kind == REL), default=DEFAULT_E
-        )
+    symbol = e_symbol or min(
+        (atom.symbol for atom in inst.atoms if atom.kind == REL), default=DEFAULT_E
+    )
     x0 = fresh_loop_variable(inst)
     if x0 in inst.variables:
         raise WitnessCheckFailed(f"loop variable {x0!r} is not fresh")
-    atoms = set(inst.atoms)
-    atoms.add(Atom(REL, symbol, (x0, x0)))
-    for v in inst.variables:
-        atoms.add(neq(x0, v))
-    return Instance(frozenset(atoms), tuple(sorted((*inst.variables, x0))))
+    added = [Atom(REL, symbol, (x0, x0))]
+    added += [neq(x0, v) for v in inst.variables]
+    return Instance(inst.atoms.union(added), tuple(sorted((*inst.variables, x0))))
 
 
 def component_label_solve(inst: Instance, forbidden) -> SolveResult:
@@ -67,39 +63,42 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
     mapped to the loop vertex, so a disequality with both ends in labeled
     components is a contradiction; everything else is satisfiable.
     """
-    check_relations(inst, "henson_b1")
-    var_map, rels, neqs = merge_equalities(inst)
-    if any(x == y for x, y in neqs):
-        return SolveResult(False)
-    arcs = set().union(*rels.values())
-
-    # a class whose every atom is an equality is a component of its own
-    reps = sorted(set(var_map.values()))
-    components = UnionFind(reps)
-    for a, b in arcs:
-        components.union(a, b)
-    comp_of = components.mapping()
-    # a component without arcs has a loopless solution: it is never labeled
-    comp_arcs: dict[str, set[tuple[str, str]]] = {}
+    merged = merge_equalities(inst, KINDS["henson_b1"].relations, "henson_b1")
+    if merged is None:
+        return UNSAT
+    var_map, arcs, neqs = merged
+    # weakly connected components, grown as the arcs are read: each end maps
+    # to its component's (ends, arcs), and a join moves the smaller one into
+    # the larger; a class no arc touches has a loopless solution: unlabeled
+    component: dict[str, tuple[list[str], set[tuple[str, str]]]] = {}
     for arc in arcs:
-        comp_arcs.setdefault(comp_of[arc[0]], set()).add(arc)
+        a, b = arc
+        ca = component.get(a)
+        if ca is None:
+            ca = component[a] = ([a], set())
+        cb = component.get(b)
+        if cb is None:
+            ca[0].append(b)
+            component[b] = ca
+        elif cb is not ca:
+            if len(ca[0]) < len(cb[0]):
+                ca, cb = cb, ca
+            ca[0].extend(cb[0])
+            ca[1].update(cb[1])
+            for v in cb[0]:
+                component[v] = ca
+        ca[1].add(arc)
     prepared = prepare_tournaments(forbidden)
-    labeled = {c for c, own in comp_arcs.items() if not arcs_consistent(own, prepared)}
-
+    on_loop: set[str] = set()
+    for v, (ends, own) in component.items():
+        # a component is met once at its first end, which a join keeps
+        if ends[0] == v and not arcs_consistent(own, prepared):
+            on_loop.update(ends)
     for x, y in neqs:
-        if comp_of[x] in labeled and comp_of[y] in labeled:
-            return SolveResult(False)
+        if x in on_loop and y in on_loop:
+            return UNSAT
 
-    assignment = {}
-    witness_arcs = set()
-    for v in reps:
-        assignment[v] = "a" if comp_of[v] in labeled else f"n_{v}"
-    for a, b in arcs:
-        if comp_of[a] not in labeled:
-            witness_arcs.add((assignment[a], assignment[b]))
-    for original, rep in var_map.items():
-        assignment[original] = assignment[rep]
-    witness = HensonWitness(
-        assignment, frozenset(witness_arcs), "a" if labeled else None
-    )
+    assignment = {v: "a" if r in on_loop else f"n_{r}" for v, r in var_map.items()}
+    witness_arcs = frozenset((f"n_{a}", f"n_{b}") for a, b in arcs if a not in on_loop)
+    witness = HensonWitness(assignment, witness_arcs, "a" if on_loop else None)
     return SolveResult(True, witness)

@@ -9,8 +9,9 @@ values.  Equality gives every block its own value, the order kinds take the
 first permutation of the blocks that every relational atom allows, and the
 henson kinds test the asserted digraph itself.  ``superpose_bruteforce``
 runs the loop over the parts of a combined problem and
-``brute_decide_theory`` over one part.  ``enumerate_weak_orders`` builds
-temporal relations and feeds tests; no decision here enumerates weak orders.
+``brute_decide_theory`` over one part.  ``enumerate_weak_orders``,
+re-exported from ``formulas`` with ``BoundExceeded``, builds temporal
+relations and feeds tests; no decision here enumerates weak orders.
 
 The solvers in qcsp.theories and qcsp.combine are validated against this
 enumeration.  One kernel is shared with them: the henson check prepares its
@@ -26,7 +27,7 @@ import os
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping
 
-from .formulas import EQ, NEQ, REL, Atom, Instance
+from .formulas import EQ, NEQ, REL, Atom, BoundExceeded, Instance, enumerate_weak_orders
 from .theories import (
     ContractViolation,
     HensonWitness,
@@ -36,12 +37,7 @@ from .theories import (
     relation_for_name,
 )
 
-WEAK_ORDER_BOUND = 8
 PARTITION_BOUND = 10
-
-
-class BoundExceeded(ValueError):
-    """The requested enumeration is over the configured size limit."""
 
 
 def default_oracle_bound() -> int:
@@ -54,44 +50,6 @@ def default_oracle_bound() -> int:
     if bound < 0:
         raise BoundExceeded(f"QCSP_ORACLE_BOUND={raw!r} is negative")
     return bound
-
-
-def enumerate_weak_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every weak order on n positions exactly once, as canonical rank
-    lists in lexicographic order."""
-    if n < 0 or n > WEAK_ORDER_BOUND:
-        raise BoundExceeded(f"weak-order enumeration bound is {WEAK_ORDER_BOUND}")
-    if n == 0:
-        yield ()
-        return
-    ranks = [0] * n
-    used = [False] * n
-
-    def rec(pos: int, top: int, gaps: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            if gaps == 0:
-                yield tuple(ranks)
-            return
-        remaining = n - pos - 1
-        for v in range(n):
-            if used[v]:
-                new_top, new_gaps = top, gaps
-            elif v > top:
-                new_top = v
-                new_gaps = gaps + (v - top - 1)
-            else:
-                new_top = top
-                new_gaps = gaps - 1
-            if new_gaps > remaining:
-                continue
-            ranks[pos] = v
-            was_used = used[v]
-            used[v] = True
-            yield from rec(pos + 1, new_top, new_gaps)
-            used[v] = was_used
-        ranks[pos] = 0
-
-    yield from rec(0, -1, 0)
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

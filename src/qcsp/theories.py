@@ -28,19 +28,17 @@ from .formulas import (
     NEQ,
     REL,
     Atom,
+    ContractViolation,
     Instance,
     UnionFind,
     collapse_equalities,  # bound here for perfbench/spans.py's tracer
+    enumerate_weak_orders,
     is_weak_order,
     make_instance,
     merge_equalities,
     neq,
     realizes,
 )
-
-
-class ContractViolation(ValueError):
-    """An instance contains atoms outside the solver's signature."""
 
 
 class WitnessCheckFailed(RuntimeError):
@@ -150,8 +148,6 @@ def relation_from_predicate(
 ) -> TemporalRelation:
     """Build a temporal relation extensionally by filtering all weak orders on
     ``arity`` positions through the predicate."""
-    from .oracle import enumerate_weak_orders
-
     if arity > PREDICATE_ARITY_BOUND:
         raise ValueError(
             f"arity {arity} exceeds enumeration bound {PREDICATE_ARITY_BOUND}"
@@ -181,10 +177,10 @@ def relation_for_name(name: str) -> TemporalRelation | None:
 def eq_decide(inst: Instance) -> SolveResult:
     """Equality theory over an infinite domain: UNSAT iff a disequality links
     one equality class to itself."""
-    check_relations(inst, "equality")
-    rep_of, _, apart = merge_equalities(inst)
-    if any(a == b for a, b in apart):
+    merged = merge_equalities(inst, KINDS["equality"].relations, "equality")
+    if merged is None:
         return UNSAT
+    rep_of, _, apart = merged
     # blocks are numbered in the order of their least members
     index = {rep: i for i, rep in enumerate(sorted(set(rep_of.values())))}
     witness = {v: index[rep] for v, rep in rep_of.items()}
@@ -197,10 +193,11 @@ def pa_decide(inst: Instance) -> SolveResult:
     """Point algebra over lt/leq: contract the strongly connected components
     of the weak-order digraph, each named by its least member, then reject
     strict or disequality atoms that fold into a single component.  One
-    pass over the atoms checks their relations as ``check_relations`` does
-    and builds the digraph, an ``eq`` atom as an arc each way, so no merge
-    of the equalities runs.  The witness ranks the components along the
-    topological order that takes the least name first.
+    pass over the atoms checks their relations, as ``merge_equalities``
+    does for the other kinds, and builds the digraph, an ``eq`` atom as an
+    arc each way, so no merge of the equalities runs.  The witness ranks
+    the components along the topological order that takes the least name
+    first.
 
     Facts: one component entails equal.  Two components are entailed
     distinct when a disequality joins them or a path with a strict edge runs
@@ -502,21 +499,18 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     disequality, a loop, a digon, or an embedded forbidden tournament.
     Facts: variables merged onto one vertex are equal; the ends of an arc,
     in either direction, and of a disequality are distinct."""
-    check_relations(inst, "henson")
-    var_map, rels, neqs = merge_equalities(inst)
-    if any(x == y for x, y in neqs):
+    merged = merge_equalities(inst, KINDS["henson"].relations, "henson")
+    if merged is None:
         return UNSAT
-    arcs = frozenset().union(*rels.values())
+    var_map, arcs, neqs = merged
     if not arcs_consistent(arcs, prepare_tournaments(forbidden)):
         return UNSAT
+
+    def distinct(a: str, b: str) -> bool:
+        return any((a, b) in s or (b, a) in s for s in (neqs, arcs))
+
     # every input variable goes to its class representative's vertex
-    witness = HensonWitness(assignment=var_map, arcs=arcs)
-    return SolveResult(
-        True,
-        witness,
-        var_map,
-        lambda a, b: any((a, b) in s or (b, a) in s for s in (neqs, arcs)),
-    )
+    return SolveResult(True, HensonWitness(var_map, arcs), var_map, distinct)
 
 
 def check_value_witness(
@@ -658,13 +652,3 @@ KINDS: dict[str, Kind] = {
     "henson_b1": Kind({"E": 2}, _b1_decide, _replay_henson, False),
 }
 
-
-def check_relations(inst: Instance, kind: str) -> None:
-    """Raise ContractViolation unless every relational atom uses a relation
-    the kind fixes, with its arity."""
-    fixed = KINDS[kind].relations
-    for atom in inst.atoms:
-        if atom.kind == REL and fixed.get(atom.symbol.name) != len(atom.args):
-            raise ContractViolation(
-                f"{kind} solver got relation {atom.symbol.name!r}/{len(atom.args)}"
-            )

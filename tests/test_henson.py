@@ -1,5 +1,6 @@
 """Reductions between the digraph CSP and its loop-vertex combination."""
 
+import hashlib
 import os
 import pathlib
 import random
@@ -359,3 +360,66 @@ def test_single_part_root_decide_builds_no_instance(monkeypatch):
 
     monkeypatch.setattr(combine, "make_instance", no_rebuild)
     assert solve_complete(problem).sat
+
+
+def _digraph_path_corpus():
+    """Every digraph on 1-3 named vertices, loops included, under C3 and
+    T3, each alone and with an eq, a neq, and an eq plus a neq added (on
+    fewer than three vertices these may be reflexive); then 2,000 seeded
+    instances on 4-6 vertices with digons, some loops, eq and neq atoms."""
+    for n in (1, 2, 3):
+        names = [f"x{i+1}" for i in range(n)]
+        pairs = [(a, b) for a in names for b in names]
+        x, y, z = names[0], names[1 % n], names[-1]
+        extras = ([], [eq(x, z)], [neq(x, z)], [eq(x, y), neq(y, z)])
+        for mask in range(2 ** len(pairs)):
+            arcs = [rel(E, *pairs[i]) for i in range(len(pairs)) if mask >> i & 1]
+            for extra in extras:
+                for forbidden in ((C3,), (T3,)):
+                    yield make_instance(arcs + extra), forbidden
+    rng = random.Random(4242)
+    forbidden_sets = [(C3,), (T4,), (C3, T4)]
+    for trial in range(2000):
+        names = [f"x{i}" for i in range(rng.randint(4, 6))]
+        atoms = [rel(E, *rng.sample(names, 2)) for _ in range(rng.randint(0, 8))]
+        if rng.random() < 0.15:
+            atoms.append(rel(E, *[rng.choice(names)] * 2))
+        for _ in range(rng.randint(0, 2)):
+            atoms.append(eq(*rng.sample(names, 2)))
+        for _ in range(rng.randint(0, 3)):
+            atoms.append(neq(*rng.sample(names, 2)))
+        yield make_instance(atoms), forbidden_sets[trial % 3]
+
+
+def _result_record(result: SolveResult):
+    if not result.sat:
+        return None
+    w = result.witness
+    names = sorted(set(result.classes.values()))
+    return (
+        sorted(w.assignment.items()),
+        sorted(w.arcs),
+        w.loop_vertex,
+        sorted(result.classes.items()),
+        [result.distinct(a, b) for a in names for b in names if a != b],
+    )
+
+
+# henson_decide, the reduction build_s_star -> component_label_solve and
+# component_label_solve of the instance itself on _digraph_path_corpus:
+# verdict, witness, classes, and distinct on every ordered pair of class
+# names; recorded before the digraph path was rewritten into one pass
+DIGRAPH_PATH_DIGEST = (
+    "caea366f4acbaf9aa83d11929533ef64019ddfc0d5859e797dda045caa2806bc"
+)
+
+
+def test_digraph_path_results_pinned():
+    records = []
+    for inst, forbidden in _digraph_path_corpus():
+        records.append(_result_record(henson_decide(inst, forbidden)))
+        reduced = component_label_solve(build_s_star(inst), forbidden)
+        records.append(_result_record(reduced))
+        records.append(_result_record(component_label_solve(inst, forbidden)))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == DIGRAPH_PATH_DIGEST

@@ -1,7 +1,9 @@
 """Per-theory solvers: worked examples, witness replay, monotonicity, and
 agreement with the brute-force enumerations."""
 
+import ast
 import dataclasses
+import pathlib
 import random
 from itertools import combinations
 
@@ -740,3 +742,25 @@ def test_decisions_the_witness_satisfies_keep_the_result(kind):
         extended = make_instance(set(inst.atoms) | added)
         assert solver.decide(extended) == result, (inst, added)
         kept += 1
+
+
+def test_theories_imports_nothing_from_the_oracle():
+    # the solvers stay apart from the ground truth: the weak-order
+    # enumerator they build relations with lives in formulas, and the
+    # oracle re-exports it
+    import qcsp
+    from qcsp import formulas, oracle, theories
+
+    source = pathlib.Path(theories.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            if node.level == 1 and node.module is None:
+                imported.update("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.endswith("oracle")}
+    assert oracle.enumerate_weak_orders is formulas.enumerate_weak_orders
+    assert qcsp.enumerate_weak_orders is formulas.enumerate_weak_orders
+    assert oracle.BoundExceeded is qcsp.BoundExceeded is formulas.BoundExceeded
