@@ -301,20 +301,6 @@ def _undecided_pairs(
     ]
 
 
-def _first_entailed(
-    problem: CombinedProblem,
-    contexts: dict[str, _Context],
-    pairs: list[tuple[str, str]],
-) -> tuple[str, str] | None:
-    """The first pair some part already entails equal, if any.  A part
-    whose models give a pair two values is not asked about it, so only the
-    pairs some part's witness ties are tested."""
-    for u, v in pairs:
-        if _entailed_by_a_part(problem, contexts, u, v):
-            return u, v
-    return None
-
-
 def _reported_apart(
     contexts: dict[str, _Context],
     pairs: list[tuple[str, str]],
@@ -334,24 +320,24 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
 
     Depth first over an explicit stack of nodes, each a set of ``eq``/``neq``
     decisions over the shared variables, read under the classes its ``eq``
-    atoms merge.  Each node decides every part and then, in this order,
-    merges a pending pair some part entails equal (the first in pair
-    order), or decides apart the classes of every pending pair some part
-    reported distinct, or branches on the first pending pair, the equal
-    branch first.  A pair is pending while its classes are distinct and no
-    ``neq`` decision separates them.
+    atoms merge.  Each node decides every part and then asks only about the
+    first pending pair, the one it would branch on: it merges that pair when
+    some part entails it equal, or else decides apart the classes of every
+    pending pair some part reported distinct, or else branches on that pair,
+    the equal branch first.  A pair is pending while its classes are
+    distinct and no ``neq`` decision separates them.
 
     The search returns the least accepted arrangement in pair order, equal
     before distinct, and a leaf's part witnesses depend only on its
     partition.  A forced merge or apart decision is entailed at its node, so
     it cuts only subtrees that hold no accepted leaf, and the result is the
-    one plain branching would find.  A pending pair no part entails equal
-    (none is left once no merge is forced) cannot be reported equal by a
-    sound part, so a distinct report there needs no conflict check.  A
-    child only adds decisions, so each part keeps its result at the parent
-    node when that result's witness satisfies the child's decisions, and
-    otherwise resumes its decide from it; either way it carries over the
-    parent's models that satisfy them.
+    one plain branching would find; a merge forced on a later pair would
+    only prune more, at the cost of a test per pair.  An apart decision is
+    sound alone: if another part entails that pair equal, the apart child
+    fails at that part's decide.  A child only adds decisions, so each part
+    keeps its result at the parent node when that result's witness
+    satisfies the child's decisions, and otherwise resumes its decide from
+    it; either way it carries over the parent's models that satisfy them.
     """
     # each part's decide rejects a reflexive disequality of its eq/neq atoms;
     # a problem with no theories has no part, so the check runs here
@@ -370,15 +356,14 @@ def solve_complete(problem: CombinedProblem) -> SolveResult:
         pending = _undecided_pairs(decisions, rep, shared)
         if not pending:
             return _sat(_blocks(rep, shared), contexts)
-        forced = _first_entailed(problem, contexts, pending)
-        if forced is not None:
-            stack.append((decisions | {eq(*forced)}, contexts))
+        u, v = pending[0]
+        if _entailed_by_a_part(problem, contexts, u, v):
+            stack.append((decisions | {eq(u, v)}, contexts))
             continue
         apart = _reported_apart(contexts, pending, rep)
         if apart:
             stack.append((decisions | apart, contexts))
             continue
-        u, v = pending[0]
         stack.append((decisions | {neq(rep[u], rep[v])}, contexts))
         stack.append((decisions | {eq(u, v)}, contexts))
     return SolveResult(False)

@@ -614,9 +614,7 @@ class TheorySolver:
 
 
 def _b1_decide(solver: TheorySolver, inst: Instance, base) -> SolveResult:
-    from .henson import component_label_solve  # henson imports this module
-
-    return component_label_solve(inst, solver.forbidden)
+    return henson.component_label_solve(inst, solver.forbidden)
 
 
 class Kind(NamedTuple):
@@ -652,3 +650,6 @@ KINDS: dict[str, Kind] = {
     "henson_b1": Kind({"E": 2}, _b1_decide, _replay_henson, False),
 }
 
+
+# last: henson imports this module, and the henson_b1 kind decides through it
+from . import henson  # noqa: E402

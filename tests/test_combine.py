@@ -15,7 +15,6 @@ from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import (
     _decide_parts,
     _entailed_by_a_part,
-    _first_entailed,
     CombinedProblem,
     ConvexityFlagFalse,
     ConvexityNotDeclared,
@@ -865,19 +864,17 @@ def _node(data, problem, names):
     return merges, decisions, contexts, ok
 
 
-def test_first_entailed_matches_asking_every_part(monkeypatch):
-    # asked about every pair its merges keep apart, in order, the search
-    # finds the first one some part entails; the parts skip the pairs their
-    # models refute without a test
+def test_entailed_by_a_part_matches_asking_every_part(monkeypatch):
+    # asked about every pair its merges keep apart, in order, the parts
+    # answer as asking each of them directly would; they skip the pairs
+    # their models refute without a test
     def check(data, problem, names):
         merges, decisions, contexts, ok = _node(data, problem, names)
         if not ok:
             return
-        pending = _apart_under(merges, names)
-        expected = next(
-            (p for p in pending if _reference_entailed(problem, decisions, *p)), None
-        )
-        assert _first_entailed(problem, contexts, pending) == expected
+        for pair in _apart_under(merges, names):
+            expected = _reference_entailed(problem, decisions, *pair)
+            assert _entailed_by_a_part(problem, contexts, *pair) == expected, pair
 
     assert _most_models_held(monkeypatch, check) >= 2
 
@@ -953,6 +950,52 @@ def test_counter_models_cut_entailment_tests(monkeypatch):
     assert kept == single and kept.sat
     assert check_combined_witness(problem, kept)
     assert calls[True] < calls[False]
+
+
+def _record_questions(monkeypatch) -> list:
+    """Log, in call order, each node's pending pairs as ("node", pairs) and
+    each entailment question the search asks as ("ask", pair)."""
+    log = []
+    undecided, entailed = combine._undecided_pairs, combine._entailed_by_a_part
+
+    def listing(decisions, rep, shared):
+        pending = undecided(decisions, rep, shared)
+        log.append(("node", pending))
+        return pending
+
+    def asking(problem, contexts, u, v):
+        log.append(("ask", (u, v)))
+        return entailed(problem, contexts, u, v)
+
+    monkeypatch.setattr(combine, "_undecided_pairs", listing)
+    monkeypatch.setattr(combine, "_entailed_by_a_part", asking)
+    return log
+
+
+def test_search_asks_only_about_the_pair_it_would_branch_on(monkeypatch):
+    # a node asks at most once whether a part entails a pair equal, and only
+    # about its first pending pair: a merge forced on a later pair would
+    # only prune, at the cost of a test
+    log = _record_questions(monkeypatch)
+
+    def questions(problem) -> int:
+        log.clear()
+        solve_complete(problem)
+        for i, (event, pair) in enumerate(log):
+            if event == "ask":
+                assert i and log[i - 1][0] == "node" and log[i - 1][1][0] == pair
+        return sum(event == "ask" for event, _ in log)
+
+    assert questions(combined_problem(parse_problem(MI_PA))) > 0
+    asked = [0]
+
+    @FILTER_SETTINGS
+    @given(_combined_problems())
+    def run(drawn):
+        asked[0] += questions(drawn[0])
+
+    run()
+    assert asked[0] > 0
 
 
 LINK_FIXTURES = ["pa_eq_link_unsat.qcsp", "pa_neq_link_unsat.qcsp"]

@@ -625,6 +625,24 @@ def test_registered_kind_decides_and_replays(kind):
     ).sat
 
 
+def test_henson_b1_decides_through_the_henson_module(monkeypatch):
+    # the kind reads component_label_solve off the module at each decide,
+    # so a patch of the module attribute (as the tracer makes) takes effect
+    from qcsp import henson
+
+    calls = []
+    original = henson.component_label_solve
+
+    def recording(inst, forbidden):
+        calls.append(inst)
+        return original(inst, forbidden)
+
+    monkeypatch.setattr(henson, "component_label_solve", recording)
+    inst = KIND_SAT_INSTANCES["henson_b1"]
+    assert KIND_SOLVERS["henson_b1"].decide(inst).sat
+    assert calls == [inst]
+
+
 # Replay rejections: the relational, eq and neq atoms of each instance below
 # use disjoint variables (the loop variable x aside), so moving the value of
 # one end of the eq or neq atom breaks that atom only
