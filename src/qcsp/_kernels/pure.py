@@ -5,19 +5,20 @@ pairs, in a flat n*n byte table with table[j*n+i] the flip of table[i*n+j].
 The temporal search enforces path consistency over the full point-algebra
 composition (Vilain & Kautz 1986; van Beek 1992) plus support for every
 atom, driven by a worklist of changed pairs, and then branches.  It returns
-the least solution in the fixed pair order, witness included, and on
-request the root fixpoint: a status left at exactly ``=`` is entailed
-equal, one without ``=`` entailed distinct, since propagation removes only
-statuses that no solution has.  A later search over the same atoms with
-more constraints resumes from that root: it copies the table, applies the
+the least solution in the fixed pair order, witness included, together with
+the root fixpoint: a status left at exactly ``=`` is entailed equal, one
+without ``=`` entailed distinct, since propagation removes only statuses
+that no solution has.  A later search over the same atoms with more
+constraints resumes from that root: it copies the table, applies the
 constraints and queues only the pairs they change and the atoms watching
 them.  The old root is a fixpoint of a subset of the new propagators above
 the new greatest fixpoint, so chaotic iteration from it reaches that same
 fixpoint (Apt, TCS 1999), as a branch child does from its parent, and the
 search below it finds what a fresh search finds.
 
-The tournament-embedding search backtracks over vertex sets held as
-integers, intersecting the one-way arc sets of the vertices placed so far.
+The tournament-embedding search takes the digraph as its arcs and
+backtracks over vertex sets held as integers, one bit per vertex,
+intersecting the one-way arc sets of the vertices placed so far.
 """
 
 from __future__ import annotations
@@ -63,18 +64,15 @@ _OPEN = bytes(bin(m).count("1") > 1 for m in range(8))
 
 
 @lru_cache(maxsize=1024)
-def _kernel_atom(n, pairs, patbits):
+def _kernel_atom(n, pairs, packed):
     """An atom as the cells of its pairs in the n*n table, their flips, their
-    i < j queue keys, and its patterns packed into integers with slot t's
-    status bit in bits 3t..3t+2; a pattern fits the slots' masks packed the
-    same way exactly when masks & pattern == pattern."""
+    i < j queue keys, and its packed patterns; a pattern fits the slots'
+    masks packed the same way exactly when masks & pattern == pattern."""
     return (
         tuple(i * n + j for i, j in pairs),
         tuple(j * n + i for i, j in pairs),
         tuple(i * n + j if i < j else j * n + i for i, j in pairs),
-        tuple(
-            sum(bit << 3 * t for t, bit in enumerate(bits)) for bits in patbits
-        ),
+        packed,
     )
 
 
@@ -182,24 +180,24 @@ def _ranks_of(n, state):
     return tuple(rank_of[k] for k in keys)
 
 
-def temporal_search(n, atoms, constraints, root=None, start=None):
+def temporal_search(n, atoms, constraints, start=None):
     """Deterministic branch-and-prune over pairwise statuses.
 
-    atoms: sequence of (pairs, patbits) where pairs is a tuple of (i, j)
-    variable-index pairs and patbits a tuple giving each allowed pattern as a
-    tuple of one status bit per pair, aligned with pairs.  constraints:
-    (i, j, mask) initial restrictions.  Returns the
+    atoms: sequence of (pairs, packed) where pairs is a tuple of (i, j)
+    variable-index pairs and packed a tuple of the allowed patterns, each an
+    integer with the status bit of pair t in bits 3t..3t+2.  constraints:
+    (i, j, mask) initial restrictions.  Returns (ranks, root): ranks is the
     canonical rank tuple of the first solution in <, =, > branch order, or
     None.  Branching fixes the first open pair in the order (0, 1), (0, 2),
     ..., and propagation removes only statuses that no solution below the
     node has, so that solution is the least in this order.  The pairs before
     a node's open pair are fixed, and stay so in its children, so a child
-    scans on from the pair its parent fixed.  When root is a list, the root
-    fixpoint is appended to it once the root propagation succeeds, as a
-    (table, prepared atoms, watch lists) start; it stays empty when the
-    root fails.  Given such a start, atoms is ignored: the search applies
-    the constraints to that root and resumes from it, with the result of a
-    fresh search over the start's atoms and constraints plus these.
+    scans on from the pair its parent fixed.  root is the root fixpoint as a
+    (table, prepared atoms, watch lists) start, None only when the root
+    propagation fails, so a search with a solution always has one.  Given
+    such a start, atoms is ignored: the search applies the constraints to
+    that root and resumes from it, with the result of a fresh search over
+    the start's atoms and constraints plus these.
     """
     if start is None:
         state = bytearray([ALL]) * (n * n)
@@ -207,20 +205,20 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
         restrictions = list(constraints)
         prepared = []
         watch = [()] * (n * n)
-        for pairs, patbits in atoms:
+        for pairs, packed in atoms:
             if len(pairs) == 1:
                 # a one-pair atom is a plain restriction: apply it once
                 mask = 0
-                for bits in patbits:
-                    mask |= bits[0]
+                for pattern in packed:
+                    mask |= pattern
                 restrictions.append((*pairs[0], mask))
             elif pairs:
-                atom = _kernel_atom(n, pairs, patbits)
+                atom = _kernel_atom(n, pairs, packed)
                 for key in set(atom[2]):
                     watch[key] += (len(prepared),)
                 prepared.append(atom)
-            elif not patbits:
-                return None
+            elif not packed:
+                return None, None
         pending = set(range(len(prepared)))
     else:
         # the start's root meets every atom; only new constraints change it
@@ -235,26 +233,26 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
         if new == old:
             continue
         if new == 0:
-            return None
+            return None, None
         state[i * n + j] = new
         state[j * n + i] = _FLIP[new]
         key = i * n + j if i < j else j * n + i
         changed.add(key)
         pending.update(watch[key])
 
+    root = None
     stack = [(state, changed, pending, (0, 1))]
     while stack:
         current, pairs, pending, first = stack.pop()
         if not _propagate(n, current, prepared, watch, pairs, pending):
             continue
-        if root is not None:
-            # hand back the root once; children copy this table, so it is
-            # never written again
-            root.append((current, prepared, watch))
-            root = None
+        if root is None:
+            # the first fixpoint is the root's; children copy this table, so
+            # it is never written again
+            root = (current, prepared, watch)
         open_pair = _first_open_pair(n, current, *first)
         if open_pair is None:
-            return _ranks_of(n, current)
+            return _ranks_of(n, current), root
         i, j = open_pair
         key = i * n + j
         mask = current[key]
@@ -266,7 +264,7 @@ def temporal_search(n, atoms, constraints, root=None, start=None):
                 child[key] = bit
                 child[j * n + i] = _FLIP[bit]
                 stack.append((child, {key}, set(watch[key]), (i, j + 1)))
-    return None
+    return None, root
 
 
 @lru_cache(maxsize=256)
@@ -280,27 +278,28 @@ def _placements(k, arcs):
     return tuple(tuple((s, side.get((s, t), 2)) for s in range(t)) for t in range(k))
 
 
-def find_induced_embedding(n, adj, tournaments):
-    """True when some forbidden tournament embeds into the n-vertex digraph:
-    injectively, each arc onto a present arc whose reverse is absent.
+def find_induced_embedding(n, arcs, tournaments):
+    """True when some forbidden tournament embeds into the digraph on
+    vertices 0..n-1 with these distinct arcs (vertex-index pairs):
+    injectively, each tournament arc onto an arc whose reverse is absent.
 
-    A tournament with more vertices than n or more arcs than adj holds is
-    skipped before any set is built.  adj holds 0/1 entries, so row a and
-    column a (``adj[a::n]``) read as integers give a byte per vertex and
-    a's one-way out- and in-sets (a loop is never one-way).  Tournament
+    A tournament with more vertices than n or more arcs than the digraph
+    is skipped before any set is built.  Vertex a's one-way out- and
+    in-sets hold one bit per vertex (a loop is never one-way).  Tournament
     vertices are placed in order on the intersection of the sets their
     arcs pick from the earlier images (Ullmann, JACM 1976).
     """
     sets = None
-    for k, arcs in tournaments:
-        if k > n or len(arcs) > adj.count(1) or (steps := _placements(k, arcs)) is None:
+    for k, tarcs in tournaments:
+        if k > n or len(tarcs) > len(arcs) or (steps := _placements(k, tarcs)) is None:
             continue
         if sets is None:
-            sets, full = [], int.from_bytes(b"\x01" * n, "little")
-            for a in range(n):
-                out = int.from_bytes(adj[a * n : a * n + n], "little")
-                into = int.from_bytes(adj[a::n], "little")
-                sets.append((into & ~out, out & ~into, ~(1 << 8 * a)))
+            out, into = [0] * n, [0] * n
+            for a, b in arcs:
+                out[a] |= 1 << b
+                into[b] |= 1 << a
+            full = (1 << n) - 1
+            sets = [(into[a] & ~out[a], out[a] & ~into[a], ~(1 << a)) for a in range(n)]
         stack = [()]
         while stack:
             image = stack.pop()
@@ -312,5 +311,5 @@ def find_induced_embedding(n, adj, tournaments):
             while cands:
                 low = cands & -cands
                 cands ^= low
-                stack.append(image + (sets[low.bit_length() >> 3],))
+                stack.append(image + (sets[low.bit_length() - 1],))
     return False

@@ -16,7 +16,6 @@ import sys
 from .analysis import probe_convexity, check_cross_prevention
 from .checking import check_combined_witness, check_part_witness
 from .combine import (
-    CombinedProblem,
     ConvexityNotDeclared,
     combined_problem,
     solve_auto,
@@ -62,7 +61,7 @@ def _load(path: str) -> Problem:
     return parse_problem(text)
 
 
-def _print_witness(problem: CombinedProblem, result: SolveResult) -> None:
+def _print_witness(result: SolveResult) -> None:
     witness = result.witness
     block_of = {}
     for index, block in enumerate(witness.arrangement):
@@ -88,7 +87,7 @@ def cmd_solve(args) -> int:
         raise WitnessCheckFailed("the SAT witness does not replay against the input")
     print(result.verdict)
     if args.witness and result.sat:
-        _print_witness(combined, result)
+        _print_witness(result)
     return EXIT_OK
 
 

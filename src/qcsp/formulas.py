@@ -343,9 +343,8 @@ def _forbidden(spec: str) -> tuple[Digraph, ...]:
     return tuple(_tournament(part.strip()) for part in spec.split(";") if part.strip())
 
 
-@lru_cache(maxsize=256)
 def _tournament(token: str) -> Digraph:
-    """The tournament one ``forbid`` token names, cached like the tails."""
+    """The tournament one ``forbid`` token names."""
     arcs = set()
     vertices = set()
     for arc in token.split(","):

@@ -27,6 +27,8 @@ import os
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping
 
+from . import _kernels
+from .combine import CombinedWitness
 from .formulas import EQ, NEQ, REL, Atom, BoundExceeded, Instance, enumerate_weak_orders
 from .theories import (
     ContractViolation,
@@ -41,15 +43,12 @@ PARTITION_BOUND = 10
 
 
 def default_oracle_bound() -> int:
-    """The oracle's variable limit: ``QCSP_ORACLE_BOUND`` when set, else 8."""
+    """The oracle's variable limit: ``QCSP_ORACLE_BOUND`` when set, else 8.
+    The value must be ASCII digits, as the parser reads numbers."""
     raw = os.environ.get("QCSP_ORACLE_BOUND", "8")
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise BoundExceeded(f"QCSP_ORACLE_BOUND={raw!r} is not an integer") from None
-    if bound < 0:
-        raise BoundExceeded(f"QCSP_ORACLE_BOUND={raw!r} is negative")
-    return bound
+    if not (raw.isascii() and raw.isdigit()):
+        raise BoundExceeded(f"QCSP_ORACLE_BOUND={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -114,8 +113,6 @@ def _loopless_candidate(
     create embeddings (asserted arcs persist in every superset) and the age
     is loopless and digon-free, the asserted digraph itself decides.
     """
-    from . import _kernels
-
     loops = sorted({a for a, b in arcs if a == b})
     a_vertex = None
     if loops:
@@ -127,15 +124,14 @@ def _loopless_candidate(
                 return None  # the loop vertex has no arcs to other vertices
     plain = sorted(set(rep.values()) - {a_vertex})
     idx = {v: i for i, v in enumerate(plain)}
-    n = len(plain)
-    adj = bytearray(n * n)
+    pairs = []
     for a, b in arcs:
         if a == a_vertex:
             continue
         if (b, a) in arcs and a != b:
             return None  # digon between distinct vertices
-        adj[idx[a] * n + idx[b]] = 1
-    if _kernels.find_induced_embedding(n, adj, prepared_forbidden):
+        pairs.append((idx[a], idx[b]))
+    if _kernels.find_induced_embedding(len(plain), pairs, prepared_forbidden):
         return None
     loop = None if a_vertex is None else "a"
     assignment = {v: loop if r == a_vertex else f"n_{r}" for v, r in rep.items()}
@@ -253,7 +249,9 @@ def brute_decide_theory(
 def superpose_bruteforce(problem, max_vars: int | None = None) -> SolveResult:
     """Definitional ground truth for the combined problem: some partition of
     all variables, consistent with the Eq/Neq atoms, must make every collapsed
-    part satisfiable on pairwise-distinct representatives."""
+    part satisfiable on pairwise-distinct representatives.  A SAT witness
+    has the solvers' shape: the partition's blocks as the arrangement and
+    each part's model."""
     parts = {}
     for tid, part in problem.parts.items():
         solver = problem.solvers[tid]
@@ -263,5 +261,4 @@ def superpose_bruteforce(problem, max_vars: int | None = None) -> SolveResult:
     if found is None:
         return SolveResult(False)
     blocks, witnesses = found
-    block_index = {v: i for i, block in enumerate(blocks) for v in block}
-    return SolveResult(True, {"partition": block_index, "parts": witnesses})
+    return SolveResult(True, CombinedWitness(arrangement=blocks, part_witnesses=witnesses))

@@ -326,11 +326,12 @@ def _components(succ: Mapping[str, set[str]]) -> dict[str, str]:
 @lru_cache(maxsize=256)
 def _atom_patterns(
     relation: TemporalRelation, shape: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The argument-slot pairs an atom of this relation constrains and the
-    status bits each allowed pattern induces on them.  ``shape[u]`` is the
-    first slot holding the same argument as slot u; slots holding the same
-    argument form no pair, and patterns that tell them apart are dropped."""
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The argument-slot pairs an atom of this relation constrains and each
+    allowed pattern packed as the kernel takes it, with the status bit pair
+    t gets in bits 3t..3t+2.  ``shape[u]`` is the first slot holding the
+    same argument as slot u; slots holding the same argument form no pair,
+    and patterns that tell them apart are dropped."""
     k = len(shape)
     slots = tuple(
         (u, w) for u in range(k) for w in range(u + 1, k) if shape[u] != shape[w]
@@ -339,12 +340,10 @@ def _atom_patterns(
     for p in sorted(relation.allowed):
         if any(p[u] != p[shape[u]] for u in range(k)):
             continue
-        patterns.append(
-            tuple(
-                LT if p[u] < p[w] else (EQB if p[u] == p[w] else GT)
-                for u, w in slots
-            )
-        )
+        packed = 0
+        for t, (u, w) in enumerate(slots):
+            packed |= (LT if p[u] < p[w] else EQB if p[u] == p[w] else GT) << 3 * t
+        patterns.append(packed)
     return slots, tuple(patterns)
 
 
@@ -368,17 +367,16 @@ def temporal_decide(
     every atom's order-type set, merging Eq pairs and separating Neq pairs.
 
     Each relational atom goes to the kernel as variable-index pairs plus the
-    status bits each allowed pattern of its shape induces on them, in the
-    order ``inst.atoms`` iterates: the kernel's root fixpoint and result do
-    not depend on that order (see ``_kernels.pure``).
+    allowed patterns of its shape, packed, in the order ``inst.atoms``
+    iterates: the kernel's root fixpoint and result do not depend on that
+    order (see ``_kernels.pure``).
 
     Facts are read off the kernel's root fixpoint: a pair left at exactly
     ``=`` is entailed equal, a pair without ``=`` entailed distinct.  Path
     consistency makes exactly ``=`` transitive, and the indices follow the
     sorted variables, so the first exact-``=`` cell of a variable's row is
     the least member of its class; two classes are distinct when the cell
-    of their names lacks ``=``.  A kernel that hands back no root state
-    gives no facts.
+    of their names lacks ``=``.
 
     ``base`` is an earlier result of this decide.  When inst holds base's
     atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
@@ -431,9 +429,8 @@ def temporal_decide(
         elif i != j:
             constraints.append((i, j, EQB))
 
-    root: list[tuple] = []
     start = prior.start if prior else None
-    ranks = _kernels.temporal_search(n, tuple(atoms), tuple(constraints), root, start)
+    ranks, root = _kernels.temporal_search(n, tuple(atoms), tuple(constraints), start)
     if ranks is None:
         return UNSAT
 
@@ -443,16 +440,14 @@ def temporal_decide(
         raise WitnessCheckFailed(f"temporal witness violates {violated}")
     if not realizes(witness, inst):
         raise WitnessCheckFailed("temporal witness violates an eq or neq atom")
-    if not root:
-        return SolveResult(True, witness)
-    state = root[0][0]
+    state = root[0]
     names = list(idx)
     classes = {v: names[state.find(EQB, i * n, i * n + n) % n] for v, i in idx.items()}
 
     def distinct(cx: str, cy: str) -> bool:
         return not state[idx[cx] * n + idx[cy]] & EQB
 
-    resume = _Resume(inst.atoms, relations, idx, root[0])
+    resume = _Resume(inst.atoms, relations, idx, root)
     return SolveResult(True, witness, classes, distinct, resume)
 
 
@@ -485,11 +480,8 @@ def arcs_consistent(arcs: set[tuple[str, str]], prepared_forbidden) -> bool:
         if a == b or (b, a) in arcs:
             return False
     idx = {v: i for i, v in enumerate(sorted({v for arc in arcs for v in arc}))}
-    n = len(idx)
-    adj = bytearray(n * n)
-    for a, b in arcs:
-        adj[idx[a] * n + idx[b]] = 1
-    return not _kernels.find_induced_embedding(n, adj, prepared_forbidden)
+    pairs = [(idx[a], idx[b]) for a, b in arcs]
+    return not _kernels.find_induced_embedding(len(idx), pairs, prepared_forbidden)
 
 
 def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:

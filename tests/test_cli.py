@@ -153,7 +153,7 @@ def test_false_convex_flag_falls_back_or_exits_3(capsys):
 def test_failed_internal_check_exits_internal(monkeypatch, capsys):
     # wrong kernel ranks trip the temporal witness check; the CLI reports an
     # internal error with its own exit code instead of a traceback
-    monkeypatch.setattr(_kernels, "temporal_search", lambda n, *rest: (0,) * n)
+    monkeypatch.setattr(_kernels, "temporal_search", lambda n, *rest: ((0,) * n, None))
     code, out, err = run_cli("solve", str(FIXTURES / "mi_sat.qcsp"), capsys=capsys)
     assert code == EXIT_INTERNAL == 5
     assert out == ""
@@ -193,7 +193,9 @@ def test_oracle_bound_exit_code(tmp_path, capsys):
 
 
 def test_oracle_bad_bound_env_exit_code(monkeypatch, capsys):
-    for value in ("abc", "2.5", "-1"):
+    # ASCII digits only, as the parser reads numbers: int() would take the
+    # Arabic-Indic eight, surrounding spaces and an underscore separator
+    for value in ("abc", "2.5", "-1", "\u0668", " 8 ", "1_0"):
         monkeypatch.setenv("QCSP_ORACLE_BOUND", value)
         code, out, err = run_cli(
             "oracle", str(FIXTURES / "mi_nonconvex.qcsp"), capsys=capsys

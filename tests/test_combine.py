@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsp import _kernels, combine
-from qcsp._kernels import pure
 from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import (
     _decide_parts,
@@ -35,7 +34,7 @@ from qcsp.formulas import (
     split_by_signature,
 )
 from qcsp.oracle import superpose_bruteforce
-from qcsp.theories import KINDS, Digraph, TheorySolver, builtin_mi
+from qcsp.theories import KINDS, Digraph, SolveResult, TheorySolver, builtin_mi
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -320,18 +319,18 @@ def _count_nodes(monkeypatch) -> list:
 
 
 def test_search_depth_does_not_grow_with_decided_pairs(monkeypatch):
-    # a temporal lt chain on a kernel stub that hands back no root state
-    # reports no entailed disequality: every pair is decided by branching,
-    # and the equal branch fails.  10 shared variables give 45 decided
-    # pairs; a search that recursed once per pair would pass a limit only 40
-    # frames above the caller
-    monkeypatch.setattr(
-        _kernels,
-        "temporal_search",
-        lambda n, atoms, constraints, root=None, start=None: pure.temporal_search(
-            n, atoms, constraints
-        ),
-    )
+    # a temporal lt chain whose decides drop their facts reports no entailed
+    # disequality: every pair is decided by branching, and the equal branch
+    # fails.  10 shared variables give 45 decided pairs; a search that
+    # recursed once per pair would pass a limit only 40 frames above the
+    # caller
+    decide = TheorySolver.decide
+
+    def without_facts(self, inst, base=None):
+        result = decide(self, inst)
+        return SolveResult(result.sat, result.witness)
+
+    monkeypatch.setattr(TheorySolver, "decide", without_facts)
     problem = _chain_problem(10, TheorySolver("t1", "temporal", False))
     nodes = _count_nodes(monkeypatch)
     limit = sys.getrecursionlimit()
@@ -552,9 +551,9 @@ def _kernel_runs(monkeypatch) -> list:
     runs = []
     original = _kernels.temporal_search
 
-    def recording(n, atoms, constraints, root=None, start=None):
+    def recording(n, atoms, constraints, start=None):
         runs.append(start is not None)
-        return original(n, atoms, constraints, root, start)
+        return original(n, atoms, constraints, start)
 
     monkeypatch.setattr(_kernels, "temporal_search", recording)
     return runs

@@ -113,7 +113,7 @@ def test_repeated_forbid_line_parses_to_equal_tournaments():
 
 
 def test_tournament_caches_are_bounded():
-    assert formulas._tournament.cache_info().maxsize is not None
+    assert formulas._forbidden.cache_info().maxsize is not None
     assert theories._prepared.cache_info().maxsize is not None
 
 

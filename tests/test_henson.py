@@ -160,9 +160,9 @@ def test_component_label_tests_only_components_with_arcs(monkeypatch):
     calls = []
     original = _kernels.find_induced_embedding
 
-    def counting(n, adj, tournaments):
+    def counting(n, arcs, tournaments):
         calls.append(n)
-        return original(n, adj, tournaments)
+        return original(n, arcs, tournaments)
 
     monkeypatch.setattr(_kernels, "find_induced_embedding", counting)
     no_arcs = make_instance([neq("x", "y"), eq("y", "z"), neq("z", "w")])

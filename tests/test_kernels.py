@@ -1,13 +1,23 @@
 """Kernel tests: the temporal search against a brute-force least solution,
-its propagation fixpoint, the root fixpoint it hands back and a search
-resumed from it, and the induced-embedding search against a brute-force
-reference and under relabelling."""
+its propagation fixpoint, the root fixpoint it returns and a search resumed
+from it, and the induced-embedding search against a brute-force reference
+and under relabelling."""
 
 import random
 from itertools import combinations, permutations
 
 from qcsp._kernels import pure
 from qcsp.oracle import enumerate_weak_orders
+
+
+def _pack(bits):
+    """A pattern as the kernel takes it: pair t's status bit in bits 3t..3t+2."""
+    return sum(bit << 3 * t for t, bit in enumerate(bits))
+
+
+def _bits(pattern, count):
+    """The status bits of a packed pattern's first count pairs."""
+    return [pattern >> 3 * t & 7 for t in range(count)]
 
 
 def _random_temporal_case(rng):
@@ -28,11 +38,11 @@ def _random_temporal_case(rng):
         pats = []
         for _ in range(rng.randint(1, 5)):
             ranks = [rng.randrange(arity) for _ in range(arity)]
-            bits = tuple(
+            bits = [
                 1 if ranks[u] < ranks[w] else (2 if ranks[u] == ranks[w] else 4)
                 for u, w in pair_slots
-            )
-            pats.append(bits)
+            ]
+            pats.append(_pack(bits))
         atoms.append((pairs, tuple(pats)))
     constraints = []
     for _ in range(rng.randint(0, 4)):
@@ -91,19 +101,26 @@ def _random_embedding_case(rng):
     return n, adj, tuple(_random_pattern(rng) for _ in range(rng.randint(0, 4)))
 
 
+def _arcs(n, adj):
+    """The table's arcs as the kernel takes them, in a shuffled order."""
+    arcs = [(a, b) for a in range(n) for b in range(n) if adj[a * n + b]]
+    random.Random(n * len(arcs)).shuffle(arcs)
+    return arcs
+
+
 def test_induced_embedding_matches_brute_force():
     rng = random.Random(137)
     found = 0
     for _ in range(3000):
         n, adj, tournaments = _random_embedding_case(rng)
         expected = _embeds(n, adj, tournaments)
-        assert pure.find_induced_embedding(n, adj, tournaments) == expected, (
+        assert pure.find_induced_embedding(n, _arcs(n, adj), tournaments) == expected, (
             n, bytes(adj), tournaments
         )
         found += expected
     assert 0 < found < 3000
     # the 0-vertex tournament embeds into every digraph, the empty one too
-    assert pure.find_induced_embedding(0, bytearray(), ((0, ()),))
+    assert pure.find_induced_embedding(0, [], ((0, ()),))
 
 
 def test_induced_embedding_ignores_labels_and_tournament_order():
@@ -111,14 +128,12 @@ def test_induced_embedding_ignores_labels_and_tournament_order():
     for _ in range(1000):
         n, adj, tournaments = _random_embedding_case(rng)
         perm = rng.sample(range(n), n)
-        relabelled = bytearray(n * n)
-        for a in range(n):
-            for b in range(n):
-                relabelled[perm[a] * n + perm[b]] = adj[a * n + b]
+        arcs = _arcs(n, adj)
+        relabelled = [(perm[a], perm[b]) for a, b in arcs]
         shuffled = rng.sample(tournaments, len(tournaments))
         assert pure.find_induced_embedding(
             n, relabelled, tuple(shuffled)
-        ) == pure.find_induced_embedding(n, adj, tournaments), (
+        ) == pure.find_induced_embedding(n, arcs, tournaments), (
             n, bytes(adj), tournaments, perm
         )
 
@@ -136,10 +151,13 @@ def _solutions(n, atoms, constraints):
             continue
         if all(
             any(
-                all(_status(ranks, i, j) & b for (i, j), b in zip(pairs, bits))
-                for bits in patbits
+                all(
+                    _status(ranks, i, j) & b
+                    for (i, j), b in zip(pairs, _bits(pattern, len(pairs)))
+                )
+                for pattern in packed
             )
-            for pairs, patbits in atoms
+            for pairs, packed in atoms
         ):
             yield ranks
 
@@ -166,7 +184,7 @@ def test_temporal_search_returns_the_least_solution():
         if n > 5:
             continue
         checked += 1
-        assert pure.temporal_search(n, atoms, constraints) == _least_solution(
+        assert pure.temporal_search(n, atoms, constraints)[0] == _least_solution(
             n, atoms, constraints
         ), (n, atoms, constraints)
 
@@ -202,10 +220,11 @@ def _is_fixpoint(n, state, atoms, compose):
                 implied = compose[state[i * n + j], state[j * n + k]]
                 if state[i * n + k] & ~implied:
                     return False
-    for pairs, patbits in atoms:
+    for pairs, packed in atoms:
         masks = [state[i * n + j] for i, j in pairs]
         support = [0] * len(pairs)
-        for bits in patbits:
+        for pattern in packed:
+            bits = _bits(pattern, len(pairs))
             if all(m & b for m, b in zip(masks, bits)):
                 support = [s | b for s, b in zip(support, bits)]
         if any(m & ~s for m, s in zip(masks, support)):
@@ -229,7 +248,7 @@ def test_every_node_reaches_the_propagation_fixpoint(monkeypatch):
             )
 
 
-LEQ = ((pure.LT,), (pure.EQB,))  # one-pair patterns: x < y or x = y
+LEQ = (pure.LT, pure.EQB)  # one-pair patterns: x < y or x = y
 
 
 def test_leq_cycle_with_a_neq_fails_at_the_root(monkeypatch):
@@ -239,7 +258,7 @@ def test_leq_cycle_with_a_neq_fails_at_the_root(monkeypatch):
     n = 28
     atoms = tuple((((k, (k + 1) % n),), LEQ) for k in range(n))
     neq = (0, n // 2, pure.LT | pure.GT)
-    assert pure.temporal_search(n, atoms, (neq,)) is None
+    assert pure.temporal_search(n, atoms, (neq,)) == (None, None)
     assert [ok for ok, _ in calls] == [False]
 
 
@@ -248,36 +267,40 @@ def test_leq_chain_closed_into_a_cycle_is_equal_at_the_root(monkeypatch):
     calls = _count_propagations(monkeypatch)
     chain = ((0, 1, pure.LT | pure.EQB), (1, 2, pure.LT | pure.EQB))
     atoms = ((((2, 0),), LEQ),)
-    assert pure.temporal_search(3, atoms, chain) == (0, 0, 0)
+    assert pure.temporal_search(3, atoms, chain)[0] == (0, 0, 0)
     assert len(calls) == 1
     ok, state = calls[0]
     assert ok and set(state) == {pure.EQB}
 
 
-def test_root_list_receives_the_root_fixpoint(monkeypatch):
-    # root gets the table the single root _propagate left, untouched by the
-    # branches below it, and stays empty when the root fails; asking for it
-    # changes no result, and neither does the order of the atoms and
-    # constraints (chaotic iteration reaches one fixpoint in any order)
+def _table(root):
+    """The root fixpoint's table as bytes, None for no root."""
+    return None if root is None else bytes(root[0])
+
+
+def test_search_returns_the_root_fixpoint(monkeypatch):
+    # the root is the table the single root _propagate left, untouched by
+    # the branches below it, and None exactly when that propagation fails,
+    # so every solution comes with its root; the order of the atoms and
+    # constraints changes neither (chaotic iteration reaches one fixpoint
+    # in any order)
     calls = _count_propagations(monkeypatch)
     rng = random.Random(151)
     roots = 0
     for _ in range(3000):
         n, atoms, constraints = _random_temporal_case(rng)
         calls.clear()
-        root = []
-        result = pure.temporal_search(n, atoms, constraints, root)
+        ranks, root = pure.temporal_search(n, atoms, constraints)
         if calls and calls[0][0]:
-            assert len(root) == 1 and bytes(root[0][0]) == calls[0][1]
+            assert _table(root) == calls[0][1]
             roots += 1
         else:
-            assert root == []
-        assert result == pure.temporal_search(n, atoms, constraints)
-        reversed_root = []
-        assert result == pure.temporal_search(
-            n, atoms[::-1], constraints[::-1], reversed_root
+            assert root is None and ranks is None
+        reversed_ranks, reversed_root = pure.temporal_search(
+            n, atoms[::-1], constraints[::-1]
         )
-        assert [bytes(r[0]) for r in reversed_root] == [bytes(r[0]) for r in root]
+        assert reversed_ranks == ranks
+        assert _table(reversed_root) == _table(root)
     assert 0 < roots < 3000
 
 
@@ -304,24 +327,21 @@ def test_resumed_search_matches_a_fresh_one():
     outcomes = {"emptied": 0, "unchanged": 0, "changed": 0}
     for _ in range(3000):
         n, atoms, constraints = _random_temporal_case(rng)
-        root = []
-        pure.temporal_search(n, atoms, constraints, root)
-        while root and n >= 2:
-            start = root[0]
-            table = bytes(start[0])
+        _, root = pure.temporal_search(n, atoms, constraints)
+        while root is not None and n >= 2:
+            table = _table(root)
             extra = _extra_restrictions(rng, n, table)
             constraints += extra
-            fresh, root = [], []
-            expected = pure.temporal_search(n, atoms, constraints, fresh)
-            got = pure.temporal_search(n, (), extra, root, start)
+            expected, fresh = pure.temporal_search(n, atoms, constraints)
+            got, root = pure.temporal_search(n, (), extra, root)
             assert got == expected, (n, atoms, constraints)
-            assert [bytes(r[0]) for r in root] == [bytes(r[0]) for r in fresh]
+            assert _table(root) == _table(fresh)
             kept = [table[i * n + j] & mask for i, j, mask in extra]
             if 0 in kept:
-                assert got is None and root == []
+                assert got is None and root is None
                 outcomes["emptied"] += 1
             elif kept == [table[i * n + j] for i, j, _ in extra]:
-                assert bytes(root[0][0]) == table
+                assert _table(root) == table
                 outcomes["unchanged"] += 1
             else:
                 outcomes["changed"] += 1
@@ -336,11 +356,10 @@ def test_root_fixpoint_statuses_hold_in_every_solution():
         n, atoms, constraints = _random_temporal_case(rng)
         if n > 5:
             continue
-        root = []
-        pure.temporal_search(n, atoms, constraints, root)
-        if not root:
+        _, root = pure.temporal_search(n, atoms, constraints)
+        if root is None:
             continue
-        state = root[0][0]
+        state = root[0]
         for ranks in _solutions(n, atoms, constraints):
             for i in range(n):
                 for j in range(n):
@@ -350,23 +369,21 @@ def test_root_fixpoint_statuses_hold_in_every_solution():
 def test_pure_temporal_search_basics():
     # x < y < z has the unique canonical solution (0, 1, 2)
     atoms = (
-        (((0, 1),), ((1,),)),
-        (((1, 2),), ((1,),)),
+        (((0, 1),), (1,)),
+        (((1, 2),), (1,)),
     )
-    assert pure.temporal_search(3, atoms, ()) == (0, 1, 2)
+    assert pure.temporal_search(3, atoms, ())[0] == (0, 1, 2)
     # x < y and y < x is empty
     atoms = (
-        (((0, 1),), ((1,),)),
-        (((1, 0),), ((1,),)),
+        (((0, 1),), (1,)),
+        (((1, 0),), (1,)),
     )
-    assert pure.temporal_search(2, atoms, ()) is None
+    assert pure.temporal_search(2, atoms, ())[0] is None
 
 
 def test_pure_embedding_basics():
     c3 = (3, ((0, 1), (1, 2), (2, 0)))
-    adj = bytearray(9)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        adj[i * 3 + j] = 1
-    assert pure.find_induced_embedding(3, adj, (c3,))
-    adj[1 * 3 + 0] = 1  # digon on (0, 1) blocks the induced match
-    assert not pure.find_induced_embedding(3, adj, (c3,))
+    arcs = [(0, 1), (1, 2), (2, 0)]
+    assert pure.find_induced_embedding(3, arcs, (c3,))
+    arcs.append((1, 0))  # digon on (0, 1) blocks the induced match
+    assert not pure.find_induced_embedding(3, arcs, (c3,))

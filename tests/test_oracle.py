@@ -2,10 +2,11 @@
 superposition ground truth."""
 
 import math
+import random
 
 import pytest
 
-from qcsp.checking import check_part_witness
+from qcsp.checking import check_combined_witness, check_part_witness
 from qcsp.combine import CombinedProblem
 from qcsp.formulas import (
     RelationSymbol,
@@ -27,6 +28,7 @@ from qcsp.theories import ContractViolation, Digraph, TheorySolver, builtin_mi
 
 E = RelationSymbol("t1", "E", 2)
 LT = RelationSymbol("t1", "lt", 2)
+LEQ = RelationSymbol("t1", "leq", 2)
 MI = RelationSymbol("t1", "mi", 3)
 C3 = Digraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
 
@@ -209,3 +211,31 @@ def test_oracle_bound_env_override(monkeypatch):
     problem = _combined(atoms, {"t1": pa1, "t2": eq2})
     monkeypatch.setenv("QCSP_ORACLE_BOUND", "10")
     assert superpose_bruteforce(problem).sat
+
+
+@pytest.mark.parametrize("kind", ["point_algebra", "henson_b1"])
+def test_superpose_witnesses_replay(kind):
+    # a SAT witness has the solvers' shape, the partition's blocks as the
+    # arrangement and each part's model, so the solvers' replay checks it;
+    # t1 is point algebra or the loop-vertex digraphs omitting C3, t2 holds
+    # the eq/neq atoms alone
+    if kind == "point_algebra":
+        t1, symbols = TheorySolver("t1", kind, True), [LT, LEQ]
+    else:
+        t1, symbols = TheorySolver("t1", kind, False, forbidden=(C3,)), [E]
+    solvers = {"t1": t1, "t2": TheorySolver("t2", "equality", True)}
+    rng = random.Random(181)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        names = [f"v{i}" for i in range(rng.randint(1, 5))]
+        atoms = []
+        for _ in range(rng.randint(0, 7)):
+            x, y = rng.choice(names), rng.choice(names)
+            choice = rng.choice(symbols + [eq, neq])
+            atoms.append(rel(choice, x, y) if choice in symbols else choice(x, y))
+        problem = _combined(atoms, solvers)
+        result = superpose_bruteforce(problem)
+        if result.sat:
+            assert check_combined_witness(problem, result), atoms
+        verdicts[result.sat] += 1
+    assert min(verdicts.values()) >= 300, verdicts

@@ -255,9 +255,9 @@ def test_wrong_kernel_ranks_fail_the_witness_check(monkeypatch):
     assert first.witness == {"x": 0, "y": 1}
     starts = []
 
-    def wrong(n, atoms, constraints, root=None, start=None):
+    def wrong(n, atoms, constraints, start=None):
         starts.append(start)
-        return (1, 0)
+        return (1, 0), None
 
     monkeypatch.setattr(_kernels, "temporal_search", wrong)
     with pytest.raises(WitnessCheckFailed, match="lt"):
@@ -517,9 +517,9 @@ def _kernel_starts(monkeypatch) -> list:
     starts = []
     original = _kernels.temporal_search
 
-    def recording(n, atoms, constraints, root=None, start=None):
+    def recording(n, atoms, constraints, start=None):
         starts.append(start is not None)
-        return original(n, atoms, constraints, root, start)
+        return original(n, atoms, constraints, start)
 
     monkeypatch.setattr(_kernels, "temporal_search", recording)
     return starts
