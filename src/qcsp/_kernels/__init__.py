@@ -4,7 +4,9 @@
 replace one with ``monkeypatch``.  ``backend_name`` names the implementation
 for benchmark reports.  The pair-status bits ``LT``, ``EQB`` and ``GT``
 (``<``, ``=``, ``>``) are re-exported too, so callers that build kernel
-patterns and constraints use the kernel's own encoding.
+patterns and constraints, and read the statuses off the rows of a root
+fixpoint (bits 3k..3k+2 of row i for the pair (i, k)), use the kernel's own
+encoding.
 """
 
 from __future__ import annotations

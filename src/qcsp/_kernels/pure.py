@@ -1,20 +1,23 @@
 """The kernels for the hot solver loops, in pure Python.
 
 Pair statuses are bitmasks over {1: <, 2: =, 4: >} for ordered variable
-pairs, in a flat n*n byte table with table[j*n+i] the flip of table[i*n+j].
-The temporal search enforces path consistency over the full point-algebra
-composition (Vilain & Kautz 1986; van Beek 1992) plus support for every
-atom, driven by a worklist of changed pairs, and then branches.  It returns
-the least solution in the fixed pair order, witness included, together with
-the root fixpoint: a status left at exactly ``=`` is entailed equal, one
-without ``=`` entailed distinct, since propagation removes only statuses
-that no solution has.  A later search over the same atoms with more
-constraints resumes from that root: it copies the table, applies the
-constraints and queues only the pairs they change and the atoms watching
-them.  The old root is a fixpoint of a subset of the new propagators above
-the new greatest fixpoint, so chaotic iteration from it reaches that same
-fixpoint (Apt, TCS 1999), as a branch child does from its parent, and the
-search below it finds what a fresh search finds.
+pairs.  The temporal search keeps one integer row per variable: bits
+3k..3k+2 of row i hold the status of (i, k), the packing of an atom's
+patterns, and field i of row k holds its flip.  It enforces path
+consistency over the point algebra (Vilain & Kautz 1986; van Beek 1992) a
+whole row at a time, as bit-vector reasoners do (GQR; Gantner, Westphal &
+Woelfl 2008), plus support for every atom, driven by a worklist of changed
+pairs, and then branches.  It returns the least solution in the fixed pair
+order, witness included, together with the root fixpoint: a status left at
+exactly ``=`` is entailed equal, one without ``=`` entailed distinct, since
+propagation removes only statuses that no solution has.  A later search
+over the same atoms with more constraints resumes from that root: it copies
+the rows, applies the constraints and queues only the pairs they change and
+the atoms watching them.  The old root is a fixpoint of a subset of the new
+propagators above the new greatest fixpoint, so chaotic iteration from it
+reaches that same fixpoint (Apt, TCS 1999), as a branch child does from its
+parent, and the search below it finds what a fresh search finds.  Counting
+a row's bits uses ``int.bit_count`` (Python 3.10).
 
 The tournament-embedding search takes the digraph as its arcs and
 backtracks over vertex sets held as integers, one bit per vertex,
@@ -32,152 +35,106 @@ ALL = LT | EQB | GT
 
 _FLIP = bytes((0, 4, 2, 6, 1, 5, 3, 7))
 
-# composition of single statuses: (xi ? xj) o (xj ? xk) -> allowed (xi ? xk)
-_BASE = {
-    (LT, LT): LT,
-    (LT, EQB): LT,
-    (LT, GT): ALL,
-    (EQB, LT): LT,
-    (EQB, EQB): EQB,
-    (EQB, GT): GT,
-    (GT, LT): ALL,
-    (GT, EQB): GT,
-    (GT, GT): GT,
-}
-
-
-def _compose(a, b):
-    out = 0
-    for x in (LT, EQB, GT):
-        for y in (LT, EQB, GT):
-            if a & x and b & y:
-                out |= _BASE[x, y]
-    return out
-
-
-# _COMPOSE[a * 8 + b]: the union of the base compositions over the bits of
-# a and of b
-_COMPOSE = bytes(_compose(a, b) for a in range(8) for b in range(8))
-
-# masks with more than one status left
-_OPEN = bytes(bin(m).count("1") > 1 for m in range(8))
-
 
 @lru_cache(maxsize=1024)
 def _kernel_atom(n, pairs, packed):
-    """An atom as the cells of its pairs in the n*n table, their flips, their
-    i < j queue keys, and its packed patterns; a pattern fits the slots'
-    masks packed the same way exactly when masks & pattern == pattern."""
-    return (
-        tuple(i * n + j for i, j in pairs),
-        tuple(j * n + i for i, j in pairs),
-        tuple(i * n + j if i < j else j * n + i for i, j in pairs),
-        packed,
-    )
+    """An atom as its cells, each a pair (i, j) with its i < j queue key, and
+    its packed patterns; a pattern fits the cells' statuses packed the same
+    way exactly when statuses & pattern == pattern."""
+    return tuple((i, j, i * n + j if i < j else j * n + i) for i, j in pairs), packed
 
 
-def _propagate(n, state, atoms, watch, pairs, pending):
-    """Tighten pair masks to a fixpoint; False when some pair empties.
+def _propagate(n, rows, atoms, watch, pairs, pending):
+    """Tighten the rows to a fixpoint; False when some pair empties.
 
     pairs holds the changed pairs (as i*n+j with i < j) and pending the
-    indices of the atoms to revise.  A changed pair (i, j) revises (i, k)
-    from (i, j) o (j, k) and (k, j) from (k, i) o (i, j) for every other k;
-    a pair that tightens is queued together with the atoms watching it.
+    indices of the atoms to revise.  A changed pair (i, j) revises all of
+    row i from (i, j) o (j, k), then all of row j from (j, i) o (i, k); each
+    field that tightens clears its flip and is queued together with the
+    atoms watching it.
     """
-    comp = _COMPOSE
+    ones = (1 << 3 * n) // 7  # bit 3k of every field k
     flip = _FLIP
     while pairs or pending:
         while pairs:
-            p = pairs.pop()
-            i, j = divmod(p, n)
-            rij = state[p]
+            i, j = divmod(pairs.pop(), n)
+            rij = rows[i] >> 3 * j & 7
             if rij == ALL:
                 continue
-            row = rij << 3
-            bi = i * n
-            bj = j * n
-            for k in range(n):
-                if k == i or k == j:
+            for a, b, r in ((i, j, rij), (j, i, flip[rij])):
+                # where (a, b) allows <, (a, k) keeps < everywhere and = and >
+                # where (b, k) has >; = keeps row b; > mirrors <
+                row = rows[b]
+                allowed = row if r & EQB else 0
+                if r & LT:
+                    allowed |= ones | (row >> 2 & ones) * 7
+                if r & GT:
+                    allowed |= ones << 2 | (row & ones) * 7
+                old = rows[a]
+                removed = old & ~allowed
+                if not removed:
                     continue
-                bk = k * n
-                rjk = state[bj + k]
-                if rjk != ALL:
-                    old = state[bi + k]
-                    new = old & comp[row | rjk]
-                    if new != old:
-                        if not new:
-                            return False
-                        state[bi + k] = new
-                        state[bk + i] = flip[new]
-                        key = bi + k if i < k else bk + i
-                        pairs.add(key)
-                        pending.update(watch[key])
-                rki = state[bk + i]
-                if rki != ALL:
-                    old = state[bk + j]
-                    new = old & comp[rki << 3 | rij]
-                    if new != old:
-                        if not new:
-                            return False
-                        state[bk + j] = new
-                        state[bj + k] = flip[new]
-                        key = bk + j if k < j else bj + k
-                        pairs.add(key)
-                        pending.update(watch[key])
+                new = old ^ removed
+                if (new | new >> 1 | new >> 2) & ones != ones:
+                    return False
+                rows[a] = new
+                fields = (removed | removed >> 1 | removed >> 2) & ones
+                while fields:
+                    low = fields & -fields
+                    fields ^= low
+                    shift = low.bit_length() - 1
+                    k = shift // 3
+                    rows[k] &= ~(flip[removed >> shift & 7] << 3 * a)
+                    key = a * n + k if a < k else k * n + a
+                    pairs.add(key)
+                    pending.update(watch[key])
         if pending:
-            cells, flips, keys, packed = atoms[pending.pop()]
-            masks = 0
+            cells, packed = atoms[pending.pop()]
+            statuses = 0
             shift = 0
-            for c in cells:
-                masks |= state[c] << shift
+            for i, j, _ in cells:
+                statuses |= (rows[i] >> 3 * j & 7) << shift
                 shift += 3
             support = 0
             for pattern in packed:
-                if masks & pattern == pattern:
+                if statuses & pattern == pattern:
                     support |= pattern
             if not support:
                 return False
-            if masks & support == masks:
-                continue
+            # a fitting pattern has a status in every cell, so none empties
+            removed = statuses & ~support
             shift = 0
-            for t, c in enumerate(cells):
-                old = state[c]
-                new = old & (support >> shift)
+            for i, j, key in cells:
+                r = removed >> shift & 7
                 shift += 3
-                if new != old:
-                    if not new:
-                        return False
-                    state[c] = new
-                    state[flips[t]] = flip[new]
-                    pairs.add(keys[t])
-                    pending.update(watch[keys[t]])
+                if r:
+                    rows[i] &= ~(r << 3 * j)
+                    rows[j] &= ~(flip[r] << 3 * i)
+                    pairs.add(key)
+                    pending.update(watch[key])
     return True
 
 
-def _first_open_pair(n, state, i, j):
+def _first_open_pair(rows, ones, i, j):
     """The first open pair at or after (i, j) in the order (0, 1), (0, 2), ..."""
-    while i < n:
-        for j in range(j, n):
-            if _OPEN[state[i * n + j]]:
-                return i, j
+    while i < len(rows):
+        rest = rows[i] >> 3 * j
+        eq, gt = rest >> 1 & ones, rest >> 2 & ones
+        open_fields = rest & ones & (eq | gt) | eq & gt
+        if open_fields:
+            return i, j + ((open_fields & -open_fields).bit_length() - 1) // 3
         i += 1
         j = i + 1
     return None
 
 
-def _ranks_of(n, state):
-    # key[i] = number of elements strictly below i; rank-compressing the keys
-    # yields the canonical weak order since the relation is a total preorder
-    keys = [0] * n
-    for i in range(n):
-        count = 0
-        for j in range(n):
-            if j != i and state[j * n + i] == LT:
-                count += 1
-        keys[i] = count
-    distinct = sorted(set(keys))
-    rank_of = {v: r for r, v in enumerate(distinct)}
-    return tuple(rank_of[k] for k in keys)
+def _ranks_of(rows, ones):
+    # at a leaf every status is one bit, so the > bits of row i count the
+    # elements strictly below i; rank-compressing the counts yields the
+    # canonical weak order since the relation is a total preorder
+    below = [(row >> 2 & ones).bit_count() for row in rows]
+    rank_of = {v: r for r, v in enumerate(sorted(set(below)))}
+    return tuple(rank_of[k] for k in below)
 
 
 def temporal_search(n, atoms, constraints, start=None):
@@ -193,15 +150,16 @@ def temporal_search(n, atoms, constraints, start=None):
     node has, so that solution is the least in this order.  The pairs before
     a node's open pair are fixed, and stay so in its children, so a child
     scans on from the pair its parent fixed.  root is the root fixpoint as a
-    (table, prepared atoms, watch lists) start, None only when the root
-    propagation fails, so a search with a solution always has one.  Given
-    such a start, atoms is ignored: the search applies the constraints to
-    that root and resumes from it, with the result of a fresh search over
-    the start's atoms and constraints plus these.
+    (rows, prepared atoms, watch lists) start, with bits 3k..3k+2 of rows[i]
+    the status of (i, k); it is None only when the root propagation fails,
+    so a search with a solution always has one.  Given such a start, atoms
+    is ignored: the search applies the constraints to that root and resumes
+    from it, with the result of a fresh search over the start's atoms and
+    constraints plus these.
     """
+    ones = (1 << 3 * n) // 7  # bit 3k of every field k
     if start is None:
-        state = bytearray([ALL]) * (n * n)
-        state[:: n + 1] = bytes([EQB]) * n
+        rows = [ALL * ones ^ (LT | GT) << 3 * i for i in range(n)]
         restrictions = list(constraints)
         prepared = []
         watch = [()] * (n * n)
@@ -214,7 +172,7 @@ def temporal_search(n, atoms, constraints, start=None):
                 restrictions.append((*pairs[0], mask))
             elif pairs:
                 atom = _kernel_atom(n, pairs, packed)
-                for key in set(atom[2]):
+                for key in {key for _, _, key in atom[0]}:
                     watch[key] += (len(prepared),)
                 prepared.append(atom)
             elif not packed:
@@ -222,47 +180,47 @@ def temporal_search(n, atoms, constraints, start=None):
         pending = set(range(len(prepared)))
     else:
         # the start's root meets every atom; only new constraints change it
-        table, prepared, watch = start
-        state = bytearray(table)
+        root_rows, prepared, watch = start
+        rows = list(root_rows)
         restrictions = constraints
         pending = set()
     changed = set()
     for i, j, mask in restrictions:
-        old = state[i * n + j]
-        new = old & mask
-        if new == old:
+        old = rows[i] >> 3 * j & 7
+        removed = old & ~mask
+        if not removed:
             continue
-        if new == 0:
+        if removed == old:
             return None, None
-        state[i * n + j] = new
-        state[j * n + i] = _FLIP[new]
+        rows[i] ^= removed << 3 * j
+        rows[j] ^= _FLIP[removed] << 3 * i
         key = i * n + j if i < j else j * n + i
         changed.add(key)
         pending.update(watch[key])
 
     root = None
-    stack = [(state, changed, pending, (0, 1))]
+    stack = [(rows, changed, pending, (0, 1))]
     while stack:
         current, pairs, pending, first = stack.pop()
         if not _propagate(n, current, prepared, watch, pairs, pending):
             continue
         if root is None:
-            # the first fixpoint is the root's; children copy this table, so
-            # it is never written again
+            # the first fixpoint is the root's; children copy these rows, so
+            # they are never written again
             root = (current, prepared, watch)
-        open_pair = _first_open_pair(n, current, *first)
+        open_pair = _first_open_pair(current, ones, *first)
         if open_pair is None:
-            return _ranks_of(n, current), root
+            return _ranks_of(current, ones), root
         i, j = open_pair
         key = i * n + j
-        mask = current[key]
+        mask = current[i] >> 3 * j & 7
         # push in reverse so < is explored first, then =, then >; a child
         # starts from this fixpoint, so only the fixed pair is queued
         for bit in (GT, EQB, LT):
             if mask & bit:
-                child = bytearray(current)
-                child[key] = bit
-                child[j * n + i] = _FLIP[bit]
+                child = current.copy()
+                child[i] ^= (mask ^ bit) << 3 * j
+                child[j] ^= _FLIP[mask ^ bit] << 3 * i
                 stack.append((child, {key}, set(watch[key]), (i, j + 1)))
     return None, root
 

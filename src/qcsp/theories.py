@@ -371,12 +371,13 @@ def temporal_decide(
     iterates: the kernel's root fixpoint and result do not depend on that
     order (see ``_kernels.pure``).
 
-    Facts are read off the kernel's root fixpoint: a pair left at exactly
-    ``=`` is entailed equal, a pair without ``=`` entailed distinct.  Path
-    consistency makes exactly ``=`` transitive, and the indices follow the
-    sorted variables, so the first exact-``=`` cell of a variable's row is
-    the least member of its class; two classes are distinct when the cell
-    of their names lacks ``=``.
+    Facts are read off the kernel's root fixpoint, one row per variable
+    with the status of its pair with variable k in bits 3k..3k+2: a pair
+    left at exactly ``=`` is entailed equal, a pair without ``=`` entailed
+    distinct.  Path consistency makes exactly ``=`` transitive, and the
+    indices follow the sorted variables, so the lowest exact-``=`` field of
+    a variable's row is the least member of its class; two classes are
+    distinct when the field of their names lacks ``=``.
 
     ``base`` is an earlier result of this decide.  When inst holds base's
     atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
@@ -440,12 +441,17 @@ def temporal_decide(
         raise WitnessCheckFailed(f"temporal witness violates {violated}")
     if not realizes(witness, inst):
         raise WitnessCheckFailed("temporal witness violates an eq or neq atom")
-    state = root[0]
+    rows = root[0]
     names = list(idx)
-    classes = {v: names[state.find(EQB, i * n, i * n + n) % n] for v, i in idx.items()}
+    ones = (1 << 3 * n) // 7  # bit 3k of every field k
+    classes = {}
+    for v, i in idx.items():
+        row = rows[i]
+        equal = row >> 1 & ~(row | row >> 2) & ones
+        classes[v] = names[((equal & -equal).bit_length() - 1) // 3]
 
     def distinct(cx: str, cy: str) -> bool:
-        return not state[idx[cx] * n + idx[cy]] & EQB
+        return not rows[idx[cx]] >> 3 * idx[cy] & EQB
 
     resume = _Resume(inst.atoms, relations, idx, root)
     return SolveResult(True, witness, classes, distinct, resume)

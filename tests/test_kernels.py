@@ -1,7 +1,7 @@
 """Kernel tests: the temporal search against a brute-force least solution,
 its propagation fixpoint, the root fixpoint it returns and a search resumed
-from it, and the induced-embedding search against a brute-force reference
-and under relabelling."""
+from it, also with rows wider than a machine word, and the induced-embedding
+search against a brute-force reference and under relabelling."""
 
 import random
 from itertools import combinations, permutations
@@ -144,21 +144,24 @@ def _status(ranks, i, j):
     return pure.EQB if ranks[i] == ranks[j] else pure.GT
 
 
+def _meets(ranks, atoms, constraints):
+    """Whether the weak order meets every constraint and atom."""
+    return all(_status(ranks, i, j) & mask for i, j, mask in constraints) and all(
+        any(
+            all(
+                _status(ranks, i, j) & b
+                for (i, j), b in zip(pairs, _bits(pattern, len(pairs)))
+            )
+            for pattern in packed
+        )
+        for pairs, packed in atoms
+    )
+
+
 def _solutions(n, atoms, constraints):
     """Brute force: the weak orders meeting every constraint and atom."""
     for ranks in enumerate_weak_orders(n):
-        if any(not _status(ranks, i, j) & mask for i, j, mask in constraints):
-            continue
-        if all(
-            any(
-                all(
-                    _status(ranks, i, j) & b
-                    for (i, j), b in zip(pairs, _bits(pattern, len(pairs)))
-                )
-                for pattern in packed
-            )
-            for pairs, packed in atoms
-        ):
+        if _meets(ranks, atoms, constraints):
             yield ranks
 
 
@@ -189,14 +192,25 @@ def test_temporal_search_returns_the_least_solution():
         ), (n, atoms, constraints)
 
 
+def _table(n, rows):
+    """The kernel's rows as the n*n table of pair statuses: table[i*n+j] is
+    field j of row i, the status of (i, j)."""
+    return bytes(rows[i] >> 3 * j & 7 for i in range(n) for j in range(n))
+
+
+def _root_table(n, root):
+    """The root fixpoint's table, None for no root."""
+    return None if root is None else _table(n, root[0])
+
+
 def _count_propagations(monkeypatch):
-    """Record (result, state after) of every _propagate call."""
+    """Record (result, table after) of every _propagate call."""
     calls = []
     original = pure._propagate
 
-    def counted(n, state, *rest):
-        ok = original(n, state, *rest)
-        calls.append((ok, bytes(state)))
+    def counted(n, rows, *rest):
+        ok = original(n, rows, *rest)
+        calls.append((ok, _table(n, rows)))
         return ok
 
     monkeypatch.setattr(pure, "_propagate", counted)
@@ -248,6 +262,69 @@ def test_every_node_reaches_the_propagation_fixpoint(monkeypatch):
             )
 
 
+def _flip(status):
+    """The status of (j, i) given that of (i, j)."""
+    return (status & pure.LT) << 2 | status & pure.EQB | status >> 2
+
+
+def _planted_case(rng, n):
+    """n atoms over n variables and up to four constraints, all met by a
+    random planted weak order: each atom of two or three variables allows
+    the planted pattern and up to three random ones, and each constraint
+    the planted status and maybe one more."""
+    planted = [rng.randrange(n // 2) for _ in range(n)]
+    atoms = []
+    for _ in range(n):
+        pairs = tuple(combinations(rng.sample(range(n), rng.choice([2, 3])), 2))
+        patterns = {_pack([_status(planted, i, j) for i, j in pairs])}
+        for _ in range(rng.randint(0, 3)):
+            values = {v: rng.randrange(3) for pair in pairs for v in pair}
+            patterns.add(_pack([_status(values, i, j) for i, j in pairs]))
+        atoms.append((pairs, tuple(sorted(patterns))))
+    constraints = []
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.sample(range(n), 2)
+        constraints.append((i, j, _status(planted, i, j) | rng.choice([0, 1, 2, 4])))
+    return tuple(atoms), tuple(constraints)
+
+
+def test_rows_wider_than_a_machine_word(monkeypatch):
+    # at 22-32 variables a row holds 66-96 bits: the root is a fixpoint and
+    # moves with a relabelling of the indices, the solution meets every atom
+    # and constraint, and every propagation leaves each field's flip in
+    # place
+    calls = _count_propagations(monkeypatch)
+    compose = {(a, b): _composition(a, b) for a in range(8) for b in range(8)}
+    rng = random.Random(167)
+    for _ in range(12):
+        n = rng.randint(22, 32)
+        atoms, constraints = _planted_case(rng, n)
+        calls.clear()
+        ranks, root = pure.temporal_search(n, atoms, constraints)
+        assert ranks is not None and _meets(ranks, atoms, constraints), (n, atoms)
+        table = _root_table(n, root)
+        assert _is_fixpoint(n, table, atoms, compose), (n, atoms, constraints)
+        for _, after in calls:
+            assert all(
+                after[k * n + i] == _flip(after[i * n + k])
+                for i in range(n)
+                for k in range(n)
+            ), (n, atoms, constraints)
+
+        perm = rng.sample(range(n), n)
+        moved_atoms = tuple(
+            (tuple((perm[i], perm[j]) for i, j in pairs), packed)
+            for pairs, packed in atoms
+        )
+        moved_constraints = tuple((perm[i], perm[j], m) for i, j, m in constraints)
+        _, moved = pure.temporal_search(n, moved_atoms, moved_constraints)
+        moved_table = _root_table(n, moved)
+        assert all(
+            moved_table[perm[i] * n + perm[j]] == table[i * n + j]
+            for i in range(n)
+            for j in range(n)
+        ), (n, atoms, constraints, perm)
+
 LEQ = (pure.LT, pure.EQB)  # one-pair patterns: x < y or x = y
 
 
@@ -273,11 +350,6 @@ def test_leq_chain_closed_into_a_cycle_is_equal_at_the_root(monkeypatch):
     assert ok and set(state) == {pure.EQB}
 
 
-def _table(root):
-    """The root fixpoint's table as bytes, None for no root."""
-    return None if root is None else bytes(root[0])
-
-
 def test_search_returns_the_root_fixpoint(monkeypatch):
     # the root is the table the single root _propagate left, untouched by
     # the branches below it, and None exactly when that propagation fails,
@@ -292,7 +364,7 @@ def test_search_returns_the_root_fixpoint(monkeypatch):
         calls.clear()
         ranks, root = pure.temporal_search(n, atoms, constraints)
         if calls and calls[0][0]:
-            assert _table(root) == calls[0][1]
+            assert _root_table(n, root) == calls[0][1]
             roots += 1
         else:
             assert root is None and ranks is None
@@ -300,7 +372,7 @@ def test_search_returns_the_root_fixpoint(monkeypatch):
             n, atoms[::-1], constraints[::-1]
         )
         assert reversed_ranks == ranks
-        assert _table(reversed_root) == _table(root)
+        assert _root_table(n, reversed_root) == _root_table(n, root)
     assert 0 < roots < 3000
 
 
@@ -329,19 +401,19 @@ def test_resumed_search_matches_a_fresh_one():
         n, atoms, constraints = _random_temporal_case(rng)
         _, root = pure.temporal_search(n, atoms, constraints)
         while root is not None and n >= 2:
-            table = _table(root)
+            table = _root_table(n, root)
             extra = _extra_restrictions(rng, n, table)
             constraints += extra
             expected, fresh = pure.temporal_search(n, atoms, constraints)
             got, root = pure.temporal_search(n, (), extra, root)
             assert got == expected, (n, atoms, constraints)
-            assert _table(root) == _table(fresh)
+            assert _root_table(n, root) == _root_table(n, fresh)
             kept = [table[i * n + j] & mask for i, j, mask in extra]
             if 0 in kept:
                 assert got is None and root is None
                 outcomes["emptied"] += 1
             elif kept == [table[i * n + j] for i, j, _ in extra]:
-                assert _table(root) == table
+                assert _root_table(n, root) == table
                 outcomes["unchanged"] += 1
             else:
                 outcomes["changed"] += 1
@@ -359,7 +431,7 @@ def test_root_fixpoint_statuses_hold_in_every_solution():
         _, root = pure.temporal_search(n, atoms, constraints)
         if root is None:
             continue
-        state = root[0]
+        state = _root_table(n, root)
         for ranks in _solutions(n, atoms, constraints):
             for i in range(n):
                 for j in range(n):

@@ -198,6 +198,18 @@ def test_temporal_handles_repeated_arguments():
     assert not temporal_decide(inst2, MI_RELS).sat
 
 
+def test_temporal_facts_on_rows_wider_than_a_machine_word():
+    # 30 variables put 90 bits in each row of the kernel's root fixpoint
+    names = [f"x{i:02d}" for i in range(30)]
+    cycle = make_instance([rel(LEQ, x, y) for x, y in zip(names, names[1:] + names[:1])])
+    result = temporal_decide(cycle, {})
+    assert result.sat and result.classes == dict.fromkeys(names, "x00")
+    chain = make_instance([rel(LT, x, y) for x, y in zip(names, names[1:])])
+    result = temporal_decide(chain, {})
+    assert result.classes == {v: v for v in names}
+    assert all(result.distinct(x, y) for x, y in combinations(names, 2))
+
+
 def test_henson_decide_examples():
     triangle = make_instance(
         [rel(E, "x", "y"), rel(E, "y", "z"), rel(E, "z", "x")]
