@@ -51,6 +51,9 @@ ERRORS = {
     WitnessCheckFailed: ("internal error", EXIT_INTERNAL),
 }
 
+# The solver behind each ``solve --mode``.
+SOLVERS = {"auto": solve_auto, "convex": solve_convex, "complete": solve_complete}
+
 
 def _load(path: str) -> Problem:
     try:
@@ -77,12 +80,7 @@ def _print_witness(result: SolveResult) -> None:
 
 def cmd_solve(args) -> int:
     combined = combined_problem(_load(args.file))
-    if args.mode == "convex":
-        result = solve_convex(combined)
-    elif args.mode == "complete":
-        result = solve_complete(combined)
-    else:
-        result = solve_auto(combined)
+    result = SOLVERS[args.mode](combined)
     if result.sat and not check_combined_witness(combined, result):
         raise WitnessCheckFailed("the SAT witness does not replay against the input")
     print(result.verdict)
@@ -203,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide a combined instance file")
     p_solve.add_argument("file")
-    p_solve.add_argument("--mode", choices=["auto", "convex", "complete"], default="auto")
+    p_solve.add_argument("--mode", choices=list(SOLVERS), default="auto")
     p_solve.add_argument("--witness", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
 

@@ -27,7 +27,6 @@ from .theories import (
     WitnessCheckFailed,
     arcs_consistent,
     henson_decide,  # bound here for perfbench/spans.py's tracer
-    prepare_tournaments,
 )
 
 DEFAULT_E = RelationSymbol("t1", "E", 2)
@@ -88,11 +87,10 @@ def component_label_solve(inst: Instance, forbidden) -> SolveResult:
             for v in cb[0]:
                 component[v] = ca
         ca[1].add(arc)
-    prepared = prepare_tournaments(forbidden)
     on_loop: set[str] = set()
     for v, (ends, own) in component.items():
         # a component is met once at its first end, which a join keeps
-        if ends[0] == v and not arcs_consistent(own, prepared):
+        if ends[0] == v and not arcs_consistent(own, forbidden):
             on_loop.update(ends)
     for x, y in neqs:
         if x in on_loop and y in on_loop:

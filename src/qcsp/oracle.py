@@ -14,9 +14,9 @@ re-exported from ``formulas`` with ``BoundExceeded``, builds temporal
 relations and feeds tests; no decision here enumerates weak orders.
 
 The solvers in qcsp.theories and qcsp.combine are validated against this
-enumeration.  One kernel is shared with them: the henson check prepares its
-forbidden tournaments with ``theories.prepare_tournaments`` and tests a
-candidate with ``_kernels.find_induced_embedding``.  That kernel is checked
+enumeration.  One kernel is shared with them: the henson check tests a
+candidate against its forbidden tournaments with
+``_kernels.find_induced_embedding``.  That kernel is checked
 on its own against a brute-force reference in
 ``tests/test_kernels.py::test_induced_embedding_matches_brute_force``.
 """
@@ -35,7 +35,6 @@ from .theories import (
     HensonWitness,
     SolveResult,
     canonical_ranks,
-    prepare_tournaments,
     relation_for_name,
 )
 
@@ -103,7 +102,7 @@ def _loopless_candidate(
     rep: Mapping[str, str],
     arcs: set[tuple[str, str]],
     b1: bool,
-    prepared_forbidden,
+    forbidden,
 ) -> HensonWitness | None:
     """Check pairwise-distinct realizability of a collapsed edge instance:
     ``rep`` sends each variable to its block's name and ``arcs`` are over
@@ -131,7 +130,7 @@ def _loopless_candidate(
         if (b, a) in arcs and a != b:
             return None  # digon between distinct vertices
         pairs.append((idx[a], idx[b]))
-    if _kernels.find_induced_embedding(len(plain), pairs, prepared_forbidden):
+    if _kernels.find_induced_embedding(len(plain), pairs, forbidden):
         return None
     loop = None if a_vertex is None else "a"
     assignment = {v: loop if r == a_vertex else f"n_{r}" for v, r in rep.items()}
@@ -188,10 +187,10 @@ def _injective_check(kind: str, part: Instance, relations, forbidden):
             if atom.symbol.name != "E" or len(atom.args) != 2:
                 raise ContractViolation(f"henson oracle got {atom.symbol.name!r}")
         arcs = [atom.args for atom in rels]
-        prepared = prepare_tournaments(forbidden)
+        forbidden = tuple(forbidden)
         b1 = kind == "henson_b1"
         return lambda rep: _loopless_candidate(
-            rep, {(rep[a], rep[b]) for a, b in arcs}, b1, prepared
+            rep, {(rep[a], rep[b]) for a, b in arcs}, b1, forbidden
         )
     raise ValueError(f"unknown theory kind {kind!r}")
 

@@ -7,7 +7,7 @@ henson (digraphs omitting a fixed set of finite tournaments) and henson_b1
 (the same digraphs plus one loop vertex, used by the reduction machinery).
 Each record holds the relations the kind fixes, its decide and its witness
 replay.  Every decide merges the ``eq`` atoms of its instance itself (point
-algebra as arcs, temporal as constraints, the rest by ``merge_equalities``),
+algebra as arcs, temporal as kernel atoms, the rest by ``merge_equalities``),
 so on SAT it returns a replayable witness over every variable of the instance
 and, as data keyed by those same names, the facts it reads off its own
 fixpoint: the partition of the variables into entailed-equal classes and a
@@ -22,7 +22,6 @@ from functools import cache, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import _kernels
-from ._kernels import EQB, GT, LT
 from .formulas import (
     EQ,
     NEQ,
@@ -323,30 +322,6 @@ def _components(succ: Mapping[str, set[str]]) -> dict[str, str]:
     return components.mapping()
 
 
-@lru_cache(maxsize=256)
-def _atom_patterns(
-    relation: TemporalRelation, shape: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The argument-slot pairs an atom of this relation constrains and each
-    allowed pattern packed as the kernel takes it, with the status bit pair
-    t gets in bits 3t..3t+2.  ``shape[u]`` is the first slot holding the
-    same argument as slot u; slots holding the same argument form no pair,
-    and patterns that tell them apart are dropped."""
-    k = len(shape)
-    slots = tuple(
-        (u, w) for u in range(k) for w in range(u + 1, k) if shape[u] != shape[w]
-    )
-    patterns = []
-    for p in sorted(relation.allowed):
-        if any(p[u] != p[shape[u]] for u in range(k)):
-            continue
-        packed = 0
-        for t, (u, w) in enumerate(slots):
-            packed |= (LT if p[u] < p[w] else EQB if p[u] == p[w] else GT) << 3 * t
-        patterns.append(packed)
-    return slots, tuple(patterns)
-
-
 class _Resume(NamedTuple):
     """What a later temporal decide resumes from: the decided atoms and
     relations, the index map, and the kernel's root, which already meets
@@ -366,28 +341,23 @@ def temporal_decide(
     """Branch-and-prune search for a weak order over all variables satisfying
     every atom's order-type set, merging Eq pairs and separating Neq pairs.
 
-    Each relational atom goes to the kernel as variable-index pairs plus the
-    allowed patterns of its shape, packed, in the order ``inst.atoms``
-    iterates: the kernel's root fixpoint and result do not depend on that
-    order (see ``_kernels.pure``).
-
-    Facts are read off the kernel's root fixpoint, one row per variable
-    with the status of its pair with variable k in bits 3k..3k+2: a pair
-    left at exactly ``=`` is entailed equal, a pair without ``=`` entailed
-    distinct.  Path consistency makes exactly ``=`` transitive, and the
-    indices follow the sorted variables, so the lowest exact-``=`` field of
-    a variable's row is the least member of its class; two classes are
-    distinct when the field of their names lacks ``=``.
+    Every atom goes to the kernel as its variable indices and the order
+    types its relation allows, an ``eq`` or ``neq`` atom with those of the
+    builtin relation of its name, in the order ``inst.atoms`` iterates: the
+    kernel's root fixpoint and result do not depend on that order (see
+    ``_kernels``).  Its facts come from the kernel's ``root_facts``: the
+    indices follow the sorted variables, so each variable's least
+    exactly-``=`` index names the least member of its class, and two
+    classes are distinct when the kernel reports their names so.
 
     ``base`` is an earlier result of this decide.  When inst holds base's
     atoms plus only ``eq``/``neq`` atoms over base's variables, the decide
     keeps base's index map, and the kernel resumes from base's root
-    fixpoint with just the added atoms' constraints, which reaches the root
-    fixpoint and result of a fresh decide (see ``_kernels.pure``).
-    Otherwise (no token, other relations, an atom of base missing, an added
-    relational atom or variable) the decide starts afresh, and all of inst's
-    atoms count as added.  Either way the witness is replayed against every
-    atom of inst.
+    fixpoint with just the added atoms, which reaches the root fixpoint and
+    result of a fresh decide (see ``_kernels``).  Otherwise (no token, other
+    relations, an atom of base missing, an added relational atom or
+    variable) the decide starts afresh, and all of inst's atoms count as
+    added.  Either way the witness is replayed against every atom of inst.
     """
     prior = base.resume if base is not None else None
     if prior is not None:
@@ -399,39 +369,24 @@ def temporal_decide(
             or any(a.kind == REL or not idx.keys() >= set(a.args) for a in added)
         ):
             prior = None
-    atoms = []
     if prior is None:
         added = inst.atoms
         idx = {v: i for i, v in enumerate(inst.variables)}
-        for atom in inst.atoms:
-            if atom.kind != REL:
-                continue
+    atoms = []
+    for atom in added:
+        if atom.kind == REL:
             name = atom.symbol.name
             relation = relations.get(name) or relation_for_name(name)
             if relation is None:
                 raise ContractViolation(f"unresolved relation {name!r}")
             if relation.arity != len(atom.args):
                 raise ContractViolation(f"relation {name!r} arity mismatch")
-            args = atom.args
-            slots, patterns = _atom_patterns(relation, tuple(map(args.index, args)))
-            pairs = tuple([(idx[args[u]], idx[args[w]]) for u, w in slots])
-            atoms.append((pairs, patterns))
-    n = len(idx)
-
-    constraints = []
-    for atom in added:
-        if atom.kind == REL:
-            continue
-        i, j = idx[atom.args[0]], idx[atom.args[1]]
-        if atom.kind == NEQ:
-            if i == j:
-                return UNSAT
-            constraints.append((i, j, LT | GT))
-        elif i != j:
-            constraints.append((i, j, EQB))
+        else:
+            relation = relation_for_name(atom.kind)  # the builtin eq or neq
+        atoms.append((tuple([idx[v] for v in atom.args]), relation.allowed))
 
     start = prior.start if prior else None
-    ranks, root = _kernels.temporal_search(n, tuple(atoms), tuple(constraints), start)
+    ranks, root = _kernels.temporal_search(len(idx), atoms, start)
     if ranks is None:
         return UNSAT
 
@@ -441,42 +396,18 @@ def temporal_decide(
         raise WitnessCheckFailed(f"temporal witness violates {violated}")
     if not realizes(witness, inst):
         raise WitnessCheckFailed("temporal witness violates an eq or neq atom")
-    rows = root[0]
+    least, apart = _kernels.root_facts(root)
     names = list(idx)
-    ones = (1 << 3 * n) // 7  # bit 3k of every field k
-    classes = {}
-    for v, i in idx.items():
-        row = rows[i]
-        equal = row >> 1 & ~(row | row >> 2) & ones
-        classes[v] = names[((equal & -equal).bit_length() - 1) // 3]
+    classes = {v: names[least[i]] for v, i in idx.items()}
 
     def distinct(cx: str, cy: str) -> bool:
-        return not rows[idx[cx]] >> 3 * idx[cy] & EQB
+        return apart(idx[cx], idx[cy])
 
     resume = _Resume(inst.atoms, relations, idx, root)
     return SolveResult(True, witness, classes, distinct, resume)
 
 
-def prepare_tournaments(
-    forbidden: Iterable[Digraph],
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The tournaments as the embedding kernel takes them, each set computed
-    once while it stays in a small cache."""
-    return _prepared(tuple(forbidden))
-
-
-@lru_cache(maxsize=64)
-def _prepared(forbidden: tuple[Digraph, ...]):
-    prepared = []
-    for t in forbidden:
-        order = {v: i for i, v in enumerate(t.vertices)}
-        prepared.append(
-            (len(t.vertices), tuple(sorted((order[a], order[b]) for a, b in t.arcs)))
-        )
-    return tuple(prepared)
-
-
-def arcs_consistent(arcs: set[tuple[str, str]], prepared_forbidden) -> bool:
+def arcs_consistent(arcs: set[tuple[str, str]], forbidden: Iterable[Digraph]) -> bool:
     """True when the digraph on these arcs has no loop and no digon and
     omits every forbidden tournament (induced match).  The empty digraph
     omits every tournament, so it costs no kernel call."""
@@ -487,7 +418,7 @@ def arcs_consistent(arcs: set[tuple[str, str]], prepared_forbidden) -> bool:
             return False
     idx = {v: i for i, v in enumerate(sorted({v for arc in arcs for v in arc}))}
     pairs = [(idx[a], idx[b]) for a, b in arcs]
-    return not _kernels.find_induced_embedding(len(idx), pairs, prepared_forbidden)
+    return not _kernels.find_induced_embedding(len(idx), pairs, forbidden)
 
 
 def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
@@ -501,7 +432,7 @@ def henson_decide(inst: Instance, forbidden: Iterable[Digraph]) -> SolveResult:
     if merged is None:
         return UNSAT
     var_map, arcs, neqs = merged
-    if not arcs_consistent(arcs, prepare_tournaments(forbidden)):
+    if not arcs_consistent(arcs, forbidden):
         return UNSAT
 
     def distinct(a: str, b: str) -> bool:
@@ -567,7 +498,7 @@ def check_henson_witness(forbidden, inst: Instance, witness: HensonWitness) -> b
             return False
     if any(loop in arc for arc in witness.arcs):
         return False
-    return arcs_consistent(witness.arcs, prepare_tournaments(forbidden))
+    return arcs_consistent(witness.arcs, forbidden)
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def test_sat_witness_that_does_not_replay_exits_internal(monkeypatch, capsys):
         arrangement=(("x",), ("y",)),
         part_witnesses={"t1": {"x": 1, "y": 0}, "t2": {"x": 1, "y": 0}},
     ))
-    monkeypatch.setattr(cli, "solve_auto", lambda problem: bad)
+    monkeypatch.setitem(cli.SOLVERS, "auto", lambda problem: bad)
     code, out, err = run_cli(
         "solve", str(FIXTURES / "pa_pair_sat.qcsp"), "--witness", capsys=capsys
     )

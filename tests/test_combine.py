@@ -551,9 +551,9 @@ def _kernel_runs(monkeypatch) -> list:
     runs = []
     original = _kernels.temporal_search
 
-    def recording(n, atoms, constraints, start=None):
+    def recording(n, atoms, start=None):
         runs.append(start is not None)
-        return original(n, atoms, constraints, start)
+        return original(n, atoms, start)
 
     monkeypatch.setattr(_kernels, "temporal_search", recording)
     return runs

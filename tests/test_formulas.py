@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcsp import formulas, theories
+from qcsp import _kernels, formulas
 from qcsp.formulas import (
     Atom,
     ParseError,
@@ -114,7 +114,8 @@ def test_repeated_forbid_line_parses_to_equal_tournaments():
 
 def test_tournament_caches_are_bounded():
     assert formulas._forbidden.cache_info().maxsize is not None
-    assert theories._prepared.cache_info().maxsize is not None
+    assert _kernels._kernel_atom.cache_info().maxsize is not None
+    assert _kernels._placements.cache_info().maxsize is not None
 
 
 def test_parse_unknown_directive():

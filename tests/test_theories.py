@@ -8,6 +8,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsp import _kernels
 
@@ -27,6 +28,7 @@ from qcsp.formulas import (
     eq,
     make_instance,
     neq,
+    parse_problem,
     rel,
 )
 from qcsp.oracle import brute_decide_theory
@@ -267,7 +269,7 @@ def test_wrong_kernel_ranks_fail_the_witness_check(monkeypatch):
     assert first.witness == {"x": 0, "y": 1}
     starts = []
 
-    def wrong(n, atoms, constraints, start=None):
+    def wrong(n, atoms, start=None):
         starts.append(start)
         return (1, 0), None
 
@@ -529,9 +531,9 @@ def _kernel_starts(monkeypatch) -> list:
     starts = []
     original = _kernels.temporal_search
 
-    def recording(n, atoms, constraints, start=None):
+    def recording(n, atoms, start=None):
         starts.append(start is not None)
-        return original(n, atoms, constraints, start)
+        return original(n, atoms, start)
 
     monkeypatch.setattr(_kernels, "temporal_search", recording)
     return starts
@@ -600,6 +602,77 @@ def test_resume_falls_back_to_a_fresh_decide(monkeypatch):
     del starts[:]
     _assert_same_decide(solver, extended, base)
     assert starts == [True, False]
+
+
+# One input form: a theory declaring eq and neq with the order types of the
+# builtin ones gives each neutral atom a relational twin
+TWIN_PROBLEM = parse_problem(
+    """theory t1 temporal
+relation t1 lt/2 ordertypes 0/1
+relation t1 leq/2 ordertypes 0/0,0/1
+relation t1 mi/3 builtin mi
+relation t1 eq/2 ordertypes 0/0
+relation t1 neq/2 ordertypes 0/1,1/0
+"""
+)
+TWIN_SOLVER = TWIN_PROBLEM.theories["t1"]
+TWIN = {"eq": eq, "neq": neq}
+
+
+def _twin_symbol(name):
+    return TWIN_PROBLEM.symbols[("t1", name)]
+
+
+@st.composite
+def _twin_cases(draw):
+    """A temporal instance over two to five variables, and one to three
+    eq/neq pairs over its variables, a pair repeating a variable now and
+    then."""
+    names = "abcde"[: draw(st.integers(2, 5))]
+    var = st.sampled_from(names)
+    atoms = draw(st.lists(st.one_of(
+        st.tuples(st.just("mi"), var, var, var),
+        st.tuples(st.sampled_from(["lt", "leq"]), var, var),
+        st.tuples(st.sampled_from(["eq", "neq"]), var, var),
+    ), min_size=1, max_size=6))
+    inst = make_instance(
+        TWIN[name](*args) if name in TWIN else rel(_twin_symbol(name), *args)
+        for name, *args in atoms
+    )
+    used = st.sampled_from(inst.variables)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(["eq", "neq"]), used, used), min_size=1, max_size=3
+    ))
+    return inst, pairs
+
+
+def test_neutral_atoms_and_their_relational_twins_decide_alike(monkeypatch):
+    # path A resumes the base decide with neutral eq/neq atoms added; path B
+    # adds their relational twins, which forces a fresh decide; both give
+    # one verdict, witness and classes
+    starts = _kernel_starts(monkeypatch)
+    seen = {"sat": 0, "unsat": 0, "resumed": 0}
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(_twin_cases())
+    def run(case):
+        inst, pairs = case
+        base = TWIN_SOLVER.decide(inst)
+        neutral = make_instance(inst.atoms | {TWIN[k](x, y) for k, x, y in pairs})
+        twins = make_instance(
+            inst.atoms | {rel(_twin_symbol(k), x, y) for k, x, y in pairs}
+        )
+        del starts[:]
+        a = TWIN_SOLVER.decide(neutral, base)
+        b = TWIN_SOLVER.decide(twins, base)
+        assert starts == [base.sat, False], (inst, pairs)
+        assert a.sat == b.sat and a.witness == b.witness, (inst, pairs)
+        assert a.classes == b.classes, (inst, pairs)
+        seen["sat" if a.sat else "unsat"] += 1
+        seen["resumed"] += base.sat
+
+    run()
+    assert min(seen.values()) >= 100, seen
 
 
 # The registry of theory kinds: one small SAT instance per kind
